@@ -1,5 +1,8 @@
 """Bit-string and Q-ary string containers plus bit-exact file I/O.
 
+A :class:`BitString` is immutable: it holds one ``bytes`` object with one
+byte (0 or 1) per bit, which numpy reads in place through ``to_array``.
+
 Two on-disk formats are supported:
 
 * ``ascii``  -- the characters '0' and '1'; whitespace is ignored.
@@ -19,117 +22,114 @@ from .errors import BitFormatError, ValidationError
 
 FORMATS = ("ascii", "packed")
 
-_ASCII_WS = frozenset(b" \t\n\r\x0b\x0c")
+_ASCII_WS = b" \t\n\r\x0b\x0c"
+
+# '0' -> 0 and '1' -> 1; every other byte -> 2, which is no bit
+_DECODE = b"\x02" * 0x30 + b"\x00\x01" + b"\x02" * (256 - 0x32)
+_ENCODE = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def format_bits(value: int, length: int) -> str:
+    """The length-``length`` 0/1 string with MSB-first integer value ``value``."""
+    return format(value, f"0{length}b") if length else ""
+
+
+def _decode_ascii(data: bytes, skip: bytes = b"") -> bytes:
+    """The '0'/'1' bytes of ``data`` as 0/1 bytes, with the bytes in ``skip``
+    dropped.  Raises BitFormatError at the first byte that is neither."""
+    bits = data.translate(_DECODE, skip)
+    if 2 in bits:
+        off = next(i for i, c in enumerate(data) if c not in b"01" + skip)
+        raise BitFormatError(f"illegal character {chr(data[off])!r}", off)
+    return bits
 
 
 class BitString:
-    """Growable sequence of bits with O(1) append and O(1) indexed read.
+    """Immutable sequence of bits, one byte (0 or 1) per bit.
 
-    Equality and hashing reflect the current contents; do not mutate a
-    string that is being used as a set member or dict key.
+    ``+`` and slicing return new strings; :meth:`to_array` is a zero-copy,
+    read-only numpy view of the same bytes.
     """
 
-    __slots__ = ("_buf",)
+    __slots__ = ("_b",)
 
     def __init__(self, bits: "str | Iterable[int] | BitString" = ""):
         if isinstance(bits, BitString):
-            self._buf = bytearray(bits._buf)
-            return
-        buf = bytearray()
-        if isinstance(bits, str):
-            for i, ch in enumerate(bits):
-                if ch == "0":
-                    buf.append(0)
-                elif ch == "1":
-                    buf.append(1)
-                else:
-                    raise ValidationError(f"illegal bit character {ch!r} at position {i}")
+            self._b = bits._b
+        elif isinstance(bits, str):
+            try:
+                self._b = _decode_ascii(bits.encode("latin-1", "replace"))
+            except BitFormatError as exc:
+                i = exc.offset
+                raise ValidationError(
+                    f"illegal bit character {bits[i]!r} at position {i}") from None
         else:
-            for i, b in enumerate(bits):
-                b = int(b)
-                if b not in (0, 1):
-                    raise ValidationError(f"illegal bit value {b!r} at position {i}")
-                buf.append(b)
-        self._buf = buf
+            self._b = BitString.from_array(np.asarray(list(bits)))._b
 
     @classmethod
-    def _wrap(cls, buf: bytearray) -> "BitString":
+    def _of(cls, b: bytes) -> "BitString":
         out = cls.__new__(cls)
-        out._buf = buf
+        out._b = b
         return out
 
     @classmethod
     def from_array(cls, arr) -> "BitString":
-        """Build from a numpy array of 0/1 values (copies)."""
+        """Build from a numpy array of 0/1 values (copies once)."""
         arr = np.asarray(arr)
-        packed = arr.astype(np.uint8)
-        if not np.array_equal(packed, arr):
-            raise ValidationError("array contains non-bit values")
-        if packed.size and packed.max() > 1:
-            raise ValidationError("array contains non-bit values")
-        return cls._wrap(bytearray(packed.tobytes()))
+        bits = arr.astype(np.uint8, copy=False)
+        if (bits is not arr and not np.array_equal(bits, arr)) or \
+                (bits.size and bits.max() > 1):
+            i = int(np.flatnonzero((arr != 0) & (arr != 1))[0])
+            bad = arr.flat[i].item()
+            raise ValidationError(f"illegal bit value {bad!r} at position {i}")
+        return cls._of(bits.tobytes())
 
     @classmethod
     def from_int(cls, value: int, length: int) -> "BitString":
         """The ``length``-bit string whose MSB-first value is ``value``."""
-        if value < 0 or value >= 1 << length:
+        if length < 0 or value < 0 or value >= 1 << length:
             raise ValidationError(f"value {value} does not fit in {length} bits")
-        return cls._wrap(bytearray((value >> (length - 1 - i)) & 1 for i in range(length)))
+        return cls._of(_decode_ascii(format_bits(value, length).encode("ascii")))
 
     def to_array(self) -> np.ndarray:
-        """Contents as a fresh uint8 numpy array."""
-        return np.frombuffer(bytes(self._buf), dtype=np.uint8)
+        """Read-only uint8 view of the bits; shares memory, copies nothing."""
+        return np.frombuffer(self._b, dtype=np.uint8)
 
     def to_int(self) -> int:
         """MSB-first integer value (lexicographic rank within its length)."""
-        v = 0
-        for b in self._buf:
-            v = (v << 1) | b
-        return v
+        return int(self.to01() or "0", 2)
 
     def to01(self) -> str:
-        return self._buf.decode("latin-1").translate(str.maketrans("\x00\x01", "01"))
-
-    def append(self, bit: int) -> None:
-        if bit not in (0, 1):
-            raise ValidationError(f"illegal bit value {bit!r}")
-        self._buf.append(bit)
-
-    def extend(self, bits) -> None:
-        if isinstance(bits, BitString):
-            self._buf.extend(bits._buf)
-        else:
-            for b in bits:
-                self.append(int(b))
+        return self._b.translate(_ENCODE).decode("ascii")
 
     def count(self, bit: int) -> int:
         if bit not in (0, 1):
             raise ValidationError(f"illegal bit value {bit!r}")
-        return self._buf.count(bit)
+        return self._b.count(bit)
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return len(self._b)
 
     def __iter__(self):
-        return iter(self._buf)
+        return iter(self._b)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return BitString._wrap(bytearray(self._buf[i]))
-        return self._buf[i]
+            return BitString._of(self._b[i])
+        return self._b[i]
 
     def __add__(self, other: "BitString") -> "BitString":
         if not isinstance(other, BitString):
             return NotImplemented
-        return BitString._wrap(self._buf + other._buf)
+        return BitString._of(self._b + other._b)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
-        return self._buf == other._buf
+        return self._b == other._b
 
     def __hash__(self) -> int:
-        return hash(bytes(self._buf))
+        return hash(self._b)
 
     def __str__(self) -> str:
         return self.to01()
@@ -200,15 +200,7 @@ def parse_bits(data: bytes, fmt: str) -> BitString:
     Raises BitFormatError with the offending byte offset on malformed input.
     """
     if fmt == "ascii":
-        buf = bytearray()
-        for off, byte in enumerate(data):
-            if byte == 0x30:
-                buf.append(0)
-            elif byte == 0x31:
-                buf.append(1)
-            elif byte not in _ASCII_WS:
-                raise BitFormatError(f"illegal character {chr(byte)!r}", off)
-        return BitString._wrap(buf)
+        return BitString._of(_decode_ascii(data, _ASCII_WS))
     if fmt == "packed":
         if len(data) < 8:
             raise BitFormatError("truncated header: need 8 length bytes", 0)
@@ -217,18 +209,15 @@ def parse_bits(data: bytes, fmt: str) -> BitString:
         if n > len(payload) * 8:
             raise BitFormatError(
                 f"declared bit count {n} exceeds payload capacity {len(payload) * 8}", 0)
-        if n == 0:
-            return BitString()
         raw = np.frombuffer(payload[: (n + 7) // 8], dtype=np.uint8)
-        bits = np.unpackbits(raw, count=n, bitorder="big")
-        return BitString.from_array(bits)
+        return BitString._of(np.unpackbits(raw, count=n, bitorder="big").tobytes())
     raise ValidationError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
 def serialize_bits(x: BitString, fmt: str) -> bytes:
     """Encode ``x`` in the given format; inverse of :func:`parse_bits`."""
     if fmt == "ascii":
-        return x.to01().encode("ascii")
+        return x._b.translate(_ENCODE)
     if fmt == "packed":
         header = struct.pack("<Q", len(x))
         if len(x) == 0:

@@ -165,11 +165,17 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ms = [int(s) for s in args.m_list.split(",") if s]
+    try:
+        ms = [int(s) for s in args.m_list.split(",") if s]
+    except ValueError:
+        raise ValidationError(f"--m-list must be comma-separated integers, "
+                              f"got {args.m_list!r}") from None
     if not ms:
         raise ValidationError("--m-list is empty")
     if args.alpha_min <= 0 or args.alpha_max <= args.alpha_min:
         raise ValidationError("need 0 < alpha-min < alpha-max")
+    if args.points < 1:
+        raise ValidationError(f"--points must be >= 1, got {args.points}")
     alphas = np.logspace(np.log10(args.alpha_min), np.log10(args.alpha_max),
                          args.points)
     rows = stats.sweep(ms, alphas)

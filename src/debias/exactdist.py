@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString
+from .bits import BitString, format_bits
 from .errors import DegenerateSourceError, ValidationError
 from .sources import (ConstantSource, DriftingSource, DriftTrace, MarkovSource,
                       PairwiseSource, SourceSpec)
@@ -21,25 +21,6 @@ from .sources import (ConstantSource, DriftingSource, DriftTrace, MarkovSource,
 MAX_ENUM_N = 26
 
 _CHUNK = 1 << 20
-
-# 16-bit popcount lookup, composed for wider values
-_PC16 = np.zeros(1 << 16, dtype=np.uint8)
-for _i in range(16):
-    _PC16 += ((np.arange(1 << 16, dtype=np.uint32) >> _i) & 1).astype(np.uint8)
-
-
-def _ones_counts(n: int) -> np.ndarray:
-    """Popcount of every value in [0, 2**n) as int64."""
-    v = np.arange(1 << n, dtype=np.int64)
-    c = _PC16[v & 0xFFFF].astype(np.int64)
-    if n > 16:
-        c += _PC16[v >> 16]
-    return c
-
-
-def format_bits(value: int, length: int) -> str:
-    """The length-``length`` 0/1 string with MSB-first integer value ``value``."""
-    return format(value, f"0{length}b") if length else ""
 
 
 def _check_enum_guard(n: int, what: str = "n") -> None:
@@ -149,13 +130,6 @@ def rn_prob(x: BitString, trace: DriftTrace, p0: float) -> float:
     return float(np.prod(np.where(bits == 1, (1.0 - p0) + eps, p0 - eps)))
 
 
-def _constant_probs(p0: float, n: int) -> np.ndarray:
-    ones = _ones_counts(n)
-    pow0 = p0 ** np.arange(n + 1)
-    pow1 = (1.0 - p0) ** np.arange(n + 1)
-    return pow0[n - ones] * pow1[ones]
-
-
 def _per_bit_probs(zero_probs: np.ndarray) -> np.ndarray:
     # prefix-doubling product measure; index = MSB-first prefix value
     probs = np.ones(1)
@@ -197,7 +171,7 @@ def exact_source_dist(spec: SourceSpec, n: int) -> DistributionTable:
     """
     _check_enum_guard(n)
     if isinstance(spec, ConstantSource):
-        probs = _constant_probs(spec.p0, n)
+        probs = _per_bit_probs(np.full(n, spec.p0))
     elif isinstance(spec, DriftingSource):
         if spec.trajectory == "walk":
             raise ValidationError(
@@ -308,8 +282,4 @@ def worst_case_product_dist(alpha: float, m: int, sign: int = 1) -> Distribution
     if sign not in (1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {sign}")
     _check_enum_guard(m, "m")
-    p_zero = 0.5 * (1.0 + sign * alpha)
-    ones = _ones_counts(m)
-    pow0 = p_zero ** np.arange(m + 1)
-    pow1 = (1.0 - p_zero) ** np.arange(m + 1)
-    return DistributionTable(m, pow0[m - ones] * pow1[ones])
+    return DistributionTable(m, _per_bit_probs(np.full(m, 0.5 * (1.0 + sign * alpha))))

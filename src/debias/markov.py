@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .exactdist import (MAX_ENUM_N, DistributionTable, normalized_dist,
                         total_variation, uniform_dist)
-from .sources import MarkovSource
+from .sources import MarkovSource, check_markov_k
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ class MarkovExperiment:
     p0: float = 0.5
 
     def __post_init__(self):
+        check_markov_k(self.k)
         if self.samples < 1:
             raise ValidationError(f"need at least one trial, got {self.samples}")
         if not 1 <= self.m <= self.n // 2:
@@ -92,15 +93,12 @@ def _empirical_normalized_dist(bits: np.ndarray, m: int):
     b = bits[:, 1::2]
     keep = a != b
     accepted = keep.sum(axis=1) == m
-    a = a[accepted]
-    keep = keep[accepted]
     count = int(accepted.sum())
     if count == 0:
         return None, 0
-    vals = np.zeros(count, dtype=np.int64)
-    for j in range(a.shape[1]):
-        kj = keep[:, j]
-        vals[kj] = (vals[kj] << 1) | a[kj, j]
+    # every accepted row keeps exactly m pairs, read MSB-first in row order
+    kept = a[accepted][keep[accepted]].reshape(count, m)
+    vals = kept @ (1 << np.arange(m - 1, -1, -1))
     freqs = np.bincount(vals, minlength=1 << m) / count
     return DistributionTable(m, freqs), count
 

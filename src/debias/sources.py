@@ -24,6 +24,16 @@ PAIR_KEYS = ("00", "01", "10", "11")
 
 TRAJECTORIES = ("walk", "sine", "fixed", "adversarial")
 
+# a k-memory source tabulates 2**k histories; the cap keeps that table small
+MAX_MARKOV_K = 16
+
+
+def check_markov_k(k: int) -> None:
+    """Reject a memory length outside 0..MAX_MARKOV_K."""
+    if not 0 <= k <= MAX_MARKOV_K:
+        raise ValidationError(
+            f"memory length k must lie in [0, MAX_MARKOV_K = {MAX_MARKOV_K}], got {k}")
+
 
 @dataclass(frozen=True)
 class DriftParams:
@@ -247,8 +257,7 @@ class MarkovSource:
 
     def __post_init__(self):
         object.__setattr__(self, "table", dict(self.table))
-        if self.k < 0:
-            raise ValidationError(f"memory length k must be >= 0, got {self.k}")
+        check_markov_k(self.k)
         if self.kappa < 0.0:
             raise ValidationError(f"kappa must be >= 0, got {self.kappa}")
         if not 0.0 < self.p0 < 1.0:

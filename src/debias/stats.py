@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, QaryString
+from .bits import BitString, QaryString, format_bits
 from .bounds import alpha_max, linear_bound, tv_bound_exact, tv_bound_naive
 from .errors import ValidationError
-from .exactdist import DistributionTable, format_bits
+from .exactdist import DistributionTable
 
 MODES = ("non-overlapping", "overlapping")
 

@@ -22,10 +22,12 @@ def test_construction_forms():
     assert BitString([0, 1, 1, 0]) == BitString("0110")
     assert BitString(BitString("01")) == BitString("01")
     assert BitString.from_array(np.array([1, 0, 1], dtype=np.uint8)).to01() == "101"
-    with pytest.raises(ValidationError):
-        BitString("01x0")
-    with pytest.raises(ValidationError):
-        BitString([0, 2])
+    for text, pos in (("01x0", 2), ("01\u00e9", 2), ("0 1", 1)):
+        with pytest.raises(ValidationError, match=f"position {pos}"):
+            BitString(text)
+    for values in ([0, 2], [0, 256], [0, -1]):
+        with pytest.raises(ValidationError):
+            BitString(values)
 
 
 def test_int_round_trip():
@@ -33,8 +35,9 @@ def test_int_round_trip():
     assert x.to_int() == 0b01101
     assert BitString.from_int(13, 5) == x
     assert BitString.from_int(0, 0) == BitString("")
-    with pytest.raises(ValidationError):
-        BitString.from_int(4, 2)
+    for value, length in ((4, 2), (-1, 3), (0, -1)):
+        with pytest.raises(ValidationError):
+            BitString.from_int(value, length)
 
 
 def test_sequence_protocol():
@@ -42,19 +45,30 @@ def test_sequence_protocol():
     assert x[0] == 0 and x[1] == 1
     assert x[1:3] == BitString("11")
     assert list(x) == [0, 1, 1, 0]
-    x.append(1)
+    x = x + BitString([1])
     assert str(x) == "01101"
-    x.extend([0, 0])
+    x = x + BitString([0, 0])
     assert str(x) == "0110100"
     assert (BitString("01") + BitString("10")).to01() == "0110"
+
+
+def test_to_array_is_a_read_only_shared_view():
+    x = BitString("0110")
+    arr = x.to_array()
+    assert arr.dtype == np.uint8 and arr.tolist() == [0, 1, 1, 0]
+    assert not arr.flags.writeable
+    assert np.shares_memory(arr, x.to_array())
+    with pytest.raises(ValueError):
+        arr[0] = 1
 
 
 def test_parse_ascii():
     assert parse_bits(b"0110", "ascii") == BitString("0110")
     assert parse_bits(b" 01\n10 \t1", "ascii") == BitString("01101")
-    with pytest.raises(BitFormatError) as err:
-        parse_bits(b"01x0", "ascii")
-    assert err.value.offset == 2
+    for data, offset in ((b"01x0", 2), (b"01 \t\xff1", 4)):
+        with pytest.raises(BitFormatError) as err:
+            parse_bits(data, "ascii")
+        assert err.value.offset == offset
 
 
 def test_parse_packed():

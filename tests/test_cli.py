@@ -179,3 +179,15 @@ def test_exit_codes(tmp_path, capsys):
     assert run(["generate", "--source", "constant", "--p0", "1.7", "-n", "10",
                 "-o", str(tmp_path / "x")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["markov", "--k", "-1", "--kappa", "0.1", "--m", "2", "-n", "8"], "MAX_MARKOV_K = 16"),
+    (["markov", "--k", "17", "--kappa", "0.1", "--m", "2", "-n", "8"], "MAX_MARKOV_K = 16"),
+    (["sweep", "--m-list", "10,x"], "--m-list"),
+    (["sweep", "--m-list", "10", "--points", "-1"], "--points"),
+])
+def test_bad_arguments_fail_fast(argv, needle, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err

@@ -38,6 +38,9 @@ def test_experiment_validation():
         MarkovExperiment(k=1, kappa=0.1, m=5, n=8, samples=100, seed=1)
     with pytest.raises(ValidationError):
         MarkovExperiment(k=1, kappa=0.1, m=2, n=8, samples=0, seed=1)
+    for k in (-1, 17):
+        with pytest.raises(ValidationError, match="MAX_MARKOV_K = 16"):
+            MarkovExperiment(k=k, kappa=0.1, m=2, n=8, samples=100, seed=1)
 
 
 def test_explorer_reports_both_tv():

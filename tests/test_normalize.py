@@ -127,14 +127,14 @@ def test_stream_chunk_consistency_million():
         lo = hi
     vn_chunked = BitString("")
     for piece in pieces:
-        vn_chunked.extend(vn_normalize(piece))
+        vn_chunked = vn_chunked + vn_normalize(piece)
     assert vn_chunked == vn_normalize(x)
     # parity with block 4: cut points are multiples of 4
     cuts4 = np.sort(rng.choice(np.arange(4, 10**6, 4), size=50, replace=False))
     par_chunked = BitString("")
     lo = 0
     for hi in list(cuts4) + [10**6]:
-        par_chunked.extend(parity_normalize(x[int(lo):int(hi)], 4))
+        par_chunked = par_chunked + parity_normalize(x[int(lo):int(hi)], 4)
         lo = hi
     assert par_chunked == parity_normalize(x, 4)
 
@@ -148,8 +148,8 @@ def test_collapse_padding_is_invisible():
         body = BitString("")
         for bit in y:
             for _ in range(int(rng.integers(0, 3))):
-                body.extend(BitString("00") if rng.random() < 0.5 else BitString("11"))
-            body.extend(vn_encode(BitString([bit])))
+                body = body + (BitString("00") if rng.random() < 0.5 else BitString("11"))
+            body = body + vn_encode(BitString([bit]))
         for _ in range(int(rng.integers(0, 3))):
-            body.extend(BitString("00") if rng.random() < 0.5 else BitString("11"))
+            body = body + (BitString("00") if rng.random() < 0.5 else BitString("11"))
         assert vn_normalize(body) == y

@@ -128,6 +128,9 @@ def test_markov_validation():
         MarkovSource(k=1, kappa=0.1, p0=0.5, table={"0": 0.5, "x": 0.5})
     with pytest.raises(ValidationError):
         MarkovSource(k=0, kappa=0.6, p0=0.5, table={"": 1.2})
+    for k in (-1, 17):  # outside 0..MAX_MARKOV_K, before any table is built
+        with pytest.raises(ValidationError, match="MAX_MARKOV_K = 16"):
+            MarkovSource(k=k, kappa=0.1, p0=0.5, table={})
 
 
 def test_markov_conditional_frequencies():
