@@ -173,7 +173,7 @@ def _betacf(a: float, b: float, x: float, cap: int = 500, tol: float = 1e-14) ->
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge within {cap} "
-        f"iterations (a={a}, b={b}, x={x})")
+        f"iterations (a={a}, b={b}, x={x})", a, b, x, cap)
 
 
 def _front_over_a(x: float, a: float, b: float) -> float:

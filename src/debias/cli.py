@@ -70,10 +70,6 @@ def _read_bits(path: str, fmt: str):
         return parse_bits(f.read(), fmt)
 
 
-def _open_out(path):
-    return open(path, "w", newline="") if path else None
-
-
 def cmd_generate(args) -> int:
     spec = _source_from_args(args)
     bits, trace = sources.sample(spec, args.n, args.seed)
@@ -101,7 +97,10 @@ def cmd_normalize(args) -> int:
 
 def cmd_analyze(args) -> int:
     bits = _read_bits(args.input, args.format)
-    out = _open_out(args.csv)
+    if not 1 <= args.max_m <= len(bits):
+        raise ValidationError(
+            f"--max-m must lie in [1, {len(bits)}] (the input length), got {args.max_m}")
+    out = open(args.csv, "w", newline="") if args.csv else None
     try:
         writer = csv.writer(out) if out else None
         if writer:
@@ -131,10 +130,7 @@ def cmd_dist(args) -> int:
         table = normalized_dist(spec, args.n, args.m)
     else:
         table = exact_source_dist(spec, args.n)
-    if args.out:
-        table.to_csv(args.out)
-    else:
-        table.to_csv(sys.stdout)
+    table.to_csv(args.out or sys.stdout)
     return 0
 
 
@@ -179,10 +175,7 @@ def cmd_sweep(args) -> int:
     alphas = np.logspace(np.log10(args.alpha_min), np.log10(args.alpha_max),
                          args.points)
     rows = stats.sweep(ms, alphas)
-    if args.out:
-        stats.write_sweep_csv(rows, args.out)
-    else:
-        stats.write_sweep_csv(rows, sys.stdout)
+    stats.write_sweep_csv(rows, args.out or sys.stdout)
     return 0
 
 
@@ -190,10 +183,7 @@ def cmd_markov(args) -> int:
     exp = markov.MarkovExperiment(k=args.k, kappa=args.kappa, m=args.m, n=args.n,
                                   samples=args.samples, seed=args.seed, p0=args.p0)
     result = markov.run_markov_experiment(exp)
-    if args.out:
-        markov.write_markov_csv([result], args.out)
-    else:
-        markov.write_markov_csv([result], sys.stdout)
+    markov.write_markov_csv([result], args.out or sys.stdout)
     exact = "n/a" if result.tv_exact is None else _fmt(result.tv_exact)
     print(f"tv_exact {exact}  tv_empirical {_fmt(result.tv_empirical)}  "
           f"accepted {result.accepted}/{result.samples}", file=sys.stderr)

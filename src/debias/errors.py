@@ -18,4 +18,9 @@ class DegenerateSourceError(ValidationError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative numerical routine failed to converge within its iteration cap."""
+    """An iterative routine hit its iteration cap, ``iterations``, on the
+    incomplete-beta parameters ``a``, ``b`` and ``x``."""
+
+    def __init__(self, message, a, b, x, iterations):
+        super().__init__(message)
+        self.a, self.b, self.x, self.iterations = a, b, x, iterations

@@ -2,8 +2,10 @@
 
 A table over length-m strings is stored as a dense float vector indexed by
 the string's MSB-first integer value, which is also its lexicographic rank.
-Enumeration-based operations are guarded at n <= 26 so every computation
-stays exact (double precision) and finishes quickly.
+Each source's law is stated once, as pair masses (see ``_pair_masses``); the
+raw table and the von Neumann output table are two folds over them, guarded
+at n <= 26 and k + m + 1 <= 26 so every computation stays exact (double
+precision) and finishes quickly.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from .sources import (ConstantSource, DriftingSource, DriftTrace, MarkovSource,
                       PairwiseSource, SourceSpec)
 
 MAX_ENUM_N = 26
-
-_CHUNK = 1 << 20
 
 
 def _check_enum_guard(n: int, what: str = "n") -> None:
@@ -47,7 +47,7 @@ class DistributionTable:
                 raise ValidationError(
                     f"negative probability {arr[bad]!r} for {format_bits(bad, length)!r}")
             total = float(arr.sum())
-            if abs(total - 1.0) > 1e-12:
+            if not abs(total - 1.0) <= 1e-12:  # NaN fails too
                 raise ValidationError(f"probabilities sum to {total!r}, expected 1")
         arr.flags.writeable = False
         self.length = length
@@ -89,13 +89,29 @@ class DistributionTable:
         if not hasattr(file, "read"):
             with open(file, newline="") as f:
                 return cls.from_csv(f)
-        rows = [row for row in csv.reader(file) if row]
-        if not rows:
+        reader = csv.reader(file)
+        values = {}
+        for row in reader:
+            if not row:
+                continue
+            line = f"CSV line {reader.line_num}"
+            if len(row) != 2:
+                raise ValidationError(f"{line}: need 'string,probability', got {row!r}")
+            key, p = row
+            length = len(next(iter(values), key))
+            if len(key) != length or key.strip("01"):
+                raise ValidationError(f"{line}: bad key {key!r} for table length {length}")
+            if key in values:
+                raise ValidationError(f"{line}: duplicate key {key!r}")
+            try:
+                values[key] = float(p)
+            except ValueError:
+                raise ValidationError(f"{line}: bad probability {p!r}") from None
+        if not values:
             raise ValidationError("empty distribution CSV")
-        length = len(rows[0][0])
+        _check_enum_guard(length, "table length")
         probs = np.zeros(1 << length)
-        for s, p in rows:
-            probs[int(s, 2) if s else 0] = float(p)
+        probs[[int(s, 2) if s else 0 for s in values]] = list(values.values())
         return cls(length, probs)
 
     def __repr__(self) -> str:
@@ -123,104 +139,93 @@ def rn_prob(x: BitString, trace: DriftTrace, p0: float) -> float:
         raise ValidationError(f"p0 must lie in (0,1), got {p0}")
     if len(trace) < len(x):
         raise ValidationError(f"trace has {len(trace)} entries, need {len(x)}")
-    if len(x) == 0:
-        return 1.0
     bits = x.to_array()
     eps = trace.epsilons[: len(bits)]
     return float(np.prod(np.where(bits == 1, (1.0 - p0) + eps, p0 - eps)))
 
 
-def _per_bit_probs(zero_probs: np.ndarray) -> np.ndarray:
-    # prefix-doubling product measure; index = MSB-first prefix value
-    probs = np.ones(1)
-    for q0 in zero_probs:
-        probs = np.outer(probs, [q0, 1.0 - q0]).ravel()
-    return probs
-
-
-def _markov_probs(spec: MarkovSource, n: int) -> np.ndarray:
-    cond = spec.cond_zero_probs()
-    mask = (1 << spec.k) - 1
-    probs = np.ones(1)
-    for i in range(n):
-        if i < spec.k:
-            pz = np.full(len(probs), spec.p0)
-        else:
-            pz = cond[np.arange(len(probs), dtype=np.int64) & mask]
-        nxt = np.empty(2 * len(probs))
-        nxt[0::2] = probs * pz
-        nxt[1::2] = probs * (1.0 - pz)
-        probs = nxt
-    return probs
-
-
-def _pairwise_probs(spec: PairwiseSource, n: int) -> np.ndarray:
+def _pair_masses(spec: SourceSpec, n: int) -> tuple[int, np.ndarray]:
+    """``(k, q)``: q[t, h, b1b2] = P(input pair t = b1b2 | last k input bits h),
+    in 00, 01, 10, 11 order, built from zero[i, h] = P(bit i = 0 | h).  Zero
+    bits stand in before the run starts, and an odd trailing bit is paired
+    with a fair phantom bit."""
+    if isinstance(spec, PairwiseSource):
+        if n % 2:
+            raise ValidationError("pairwise source emits whole pairs; n must be even")
+        return 0, spec.pair_matrix(n // 2)[:, None, :]
+    k = 0
+    if isinstance(spec, ConstantSource):
+        zero = np.full((n, 1), spec.p0)
+    elif isinstance(spec, DriftingSource):
+        if spec.trajectory == "walk":
+            raise ValidationError(
+                "walk trajectory has no deterministic trace; use sine, fixed, or "
+                "adversarial (or fix the realized trace of a sampled run)")
+        zero = (spec.params.p0 - spec.realized_trace(n).epsilons)[:, None]
+    elif isinstance(spec, MarkovSource):
+        k = spec.k
+        zero = np.tile(spec.cond_zero_probs(), (n, 1))
+        zero[:k] = spec.p0  # the first k bits use the base marginal
+    else:
+        raise ValidationError(f"unknown source spec {spec!r}")
     if n % 2:
-        raise ValidationError("pairwise source emits whole pairs; n must be even")
-    probs = np.ones(1)
-    for row in spec.pair_matrix(n // 2):
-        probs = np.outer(probs, row).ravel()
-    return probs
+        zero = np.vstack([zero, np.full((1, 1 << k), 0.5)])
+    first = zero[0::2]
+    # the second bit's history is (2h + b1) mod 2^k
+    second = np.tile(zero[1::2], 2).reshape(-1, 1 << k, 2)
+    q = (np.stack([first, 1.0 - first], -1)[..., None]
+         * np.stack([second, 1.0 - second], -1))
+    return k, q.reshape(-1, 1 << k, 4)
 
 
 def exact_source_dist(spec: SourceSpec, n: int) -> DistributionTable:
     """Exact model probability of every length-n string.
 
     Drifting sources need a deterministic trajectory (sine, fixed, or
-    adversarial); a random-walk trajectory has no fixed trace to enumerate.
+    adversarial); a random-walk trajectory has no fixed trace.
     """
     _check_enum_guard(n)
-    if isinstance(spec, ConstantSource):
-        probs = _per_bit_probs(np.full(n, spec.p0))
-    elif isinstance(spec, DriftingSource):
-        if spec.trajectory == "walk":
-            raise ValidationError(
-                "walk trajectory has no deterministic trace; use sine, fixed, or "
-                "adversarial (or fix the realized trace of a sampled run)")
-        trace = spec.realized_trace(n)
-        probs = _per_bit_probs(spec.params.p0 - trace.epsilons)
-    elif isinstance(spec, MarkovSource):
-        probs = _markov_probs(spec, n)
-    elif isinstance(spec, PairwiseSource):
-        probs = _pairwise_probs(spec, n)
-    else:
-        raise ValidationError(f"unknown source spec {spec!r}")
+    k, q = _pair_masses(spec, n)
+    # prefix doubling by pairs; a prefix's history is the low k bits of its index
+    probs = np.ones(1)
+    for t, qt in enumerate(q):
+        if 2 * t + 1 == n:
+            qt = qt.reshape(-1, 2, 2).sum(2)  # sum the phantom bit out
+        h = min(len(probs), 1 << k)
+        probs = (probs.reshape(-1, h, 1) * qt[:h]).ravel()
     return DistributionTable(n, probs)
-
-
-def _vn_outputs(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Von Neumann output value and length for every z in [lo, hi)."""
-    v = np.arange(lo, hi, dtype=np.int64)
-    out_val = np.zeros(hi - lo, dtype=np.int64)
-    out_len = np.zeros(hi - lo, dtype=np.int64)
-    for i in range(n // 2):
-        a = (v >> (n - 1 - 2 * i)) & 1
-        b = (v >> (n - 2 - 2 * i)) & 1
-        keep = a != b
-        out_val = np.where(keep, (out_val << 1) | a, out_val)
-        out_len += keep
-    return out_val, out_len
 
 
 def normalized_dist(spec: SourceSpec, n: int, m: int) -> DistributionTable:
     """Distribution of the von Neumann output conditioned on its length being
     exactly m, for an n-bit run of the source.
 
-    Enumerates all length-n strings, keeps those normalizing to exactly m
-    bits, aggregates the source probability per output, and renormalizes.
+    A forward pass over the n//2 input pairs, whose state is the last k input
+    bits times the output so far, guarded at k + m + 1 <= MAX_ENUM_N.
     """
     _check_enum_guard(n)
     if not 1 <= m <= n // 2:
         raise ValidationError(f"need 1 <= m <= n/2, got m = {m}, n = {n}")
-    probs = exact_source_dist(spec, n).probs
-    acc = np.zeros(1 << m)
-    for lo in range(0, 1 << n, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << n)
-        out_val, out_len = _vn_outputs(n, lo, hi)
-        mask = out_len == m
-        if mask.any():
-            acc += np.bincount(out_val[mask], weights=probs[lo:hi][mask],
-                               minlength=1 << m)
+    k, q = _pair_masses(spec, n)
+    if k + m + 1 > MAX_ENUM_N:
+        raise ValidationError(f"state of 2^{k + m + 1} entries exceeds the guard "
+                              f"k + m + 1 <= {MAX_ENUM_N}")
+    kk = max(k, 2)  # pad to 2 history bits, which each pair shifts out whole
+    q = np.tile(q, (1, 1 << (kk - k), 1)).reshape(-1, 4, 1 << (kk - 2), 4)
+    # state[s, lo, c]: history s * 2^(kk-2) + lo; the output is coded with a
+    # leading 1 bit, so code 1 is the empty output
+    state = np.zeros((4, 1 << (kk - 2), 2))
+    state[0, 0, 1] = 1.0
+    for qt in q[: n // 2]:
+        w = state.shape[2]
+        ext = min(w, 1 << m)  # 01/10 extend codes below ext; m-bit outputs drop
+        nxt = np.zeros((1 << (kk - 2), 4, 2 * ext))  # history 4 * lo + pair
+        for pair, src, dst in ((0, state, nxt[:, 0, :w]), (3, state, nxt[:, 3, :w]),
+                               (1, state[..., :ext], nxt[:, 1, 0::2]),
+                               (2, state[..., :ext], nxt[:, 2, 1::2])):
+            np.einsum("slc,sl->lc", src, qt[..., pair], out=dst)  # sum out shifted s
+        state = nxt.reshape(4, -1, 2 * ext)
+    acc = state[..., 1 << m:].sum(axis=(0, 1))
     total = float(acc.sum())
     if total <= 0.0:
         raise DegenerateSourceError(
@@ -282,4 +287,4 @@ def worst_case_product_dist(alpha: float, m: int, sign: int = 1) -> Distribution
     if sign not in (1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {sign}")
     _check_enum_guard(m, "m")
-    return DistributionTable(m, _per_bit_probs(np.full(m, 0.5 * (1.0 + sign * alpha))))
+    return exact_source_dist(ConstantSource(0.5 * (1.0 + sign * alpha)), m)

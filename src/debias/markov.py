@@ -5,8 +5,8 @@ depends on the previous k bits (within a kappa band around the base marginal)
 get to uniform?  No closed form is known, so results are *reported*, never
 asserted against a target: the harness draws a kappa-banded conditional table
 from the experiment seed, estimates the distance empirically from repeated
-independent n-bit runs, and computes the exact conditional distribution by
-enumeration whenever n permits.
+independent n-bit runs, and computes the exact conditional distribution from
+the source's pair masses whenever n <= 26 and k + m + 1 <= 26.
 """
 
 from __future__ import annotations
@@ -104,14 +104,14 @@ def _empirical_normalized_dist(bits: np.ndarray, m: int):
 
 
 def run_markov_experiment(exp: MarkovExperiment) -> MarkovResult:
-    """Estimate (and, when n <= enumeration guard, exactly compute) the
-    distance between the normalized output and uniform."""
+    """Estimate the distance between the normalized output and uniform, and
+    compute it exactly within the guards n <= 26 and k + m + 1 <= 26."""
     source = random_markov_source(exp.k, exp.kappa, exp.p0, exp.seed)
     uniform = uniform_dist(exp.m)
 
-    tv_exact = None
-    if exp.n <= MAX_ENUM_N:
-        tv_exact = total_variation(normalized_dist(source, exp.n, exp.m), uniform)
+    exact = exp.n <= MAX_ENUM_N and exp.k + exp.m + 1 <= MAX_ENUM_N
+    tv_exact = (total_variation(normalized_dist(source, exp.n, exp.m), uniform)
+                if exact else None)
 
     bits = _sample_trials(source, exp.n, exp.samples, exp.seed)
     table, accepted = _empirical_normalized_dist(bits, exp.m)

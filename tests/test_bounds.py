@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import betainc as scipy_betainc
 
-from debias import (BinomialSpec, ValidationError, alpha_max, binom_cdf,
+from debias import (BinomialSpec, ConvergenceError, ValidationError, alpha_max, binom_cdf,
                     binom_pmf, binom_tv, binom_tv_halfsum, calibrate_alpha,
                     calibrate_delta, crossing_index, linear_alpha_for_rho,
                     linear_bound, naive_alpha_for_rho, product_deviation_sum,
@@ -135,6 +135,19 @@ def test_reg_inc_beta_validation():
         reg_inc_beta(1.5, 1, 1)
     with pytest.raises(ValidationError):
         reg_inc_beta(0.5, 0, 1)
+
+
+def test_convergence_error_carries_parameters():
+    from debias.bounds import _betacf
+    with pytest.raises(ConvergenceError) as info:
+        _betacf(20.0, 30.0, 0.4, cap=2)
+    e = info.value
+    assert (e.a, e.b, e.x, e.iterations) == (20.0, 30.0, 0.4, 2)
+    assert "within 2 iterations (a=20.0, b=30.0, x=0.4)" in str(e)
+    with pytest.raises(ConvergenceError) as info:
+        reg_inc_beta(0.5, 1e7, 1e7)  # the symmetric branch swaps a and b
+    e = info.value
+    assert (e.a, e.b, e.x, e.iterations) == (1e7, 1e7, 0.5, 500)
 
 
 def test_reg_inc_beta_integer_path_agrees():

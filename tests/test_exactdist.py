@@ -8,7 +8,8 @@ from debias import (BitString, ConstantSource, DegenerateSourceError,
                     DistributionTable, DriftParams, DriftTrace, DriftingSource,
                     MarkovSource, PairwiseSource, ValidationError,
                     check_independence, exact_source_dist, normalized_dist,
-                    pn_prob, rn_prob, total_variation, uniform_dist,
+                    pn_prob, random_markov_source, rn_prob,
+                    total_variation, uniform_dist, vn_normalize,
                     worst_case_product_dist)
 
 PAIR_EX_SYM = {"00": 0.0, "01": 1 / 3, "10": 1 / 3, "11": 1 / 3}
@@ -117,6 +118,46 @@ def test_pairwise_odd_n_rejected():
         exact_source_dist(PairwiseSource([PAIR_EX_SYM]), 3)
 
 
+def _chain_prob(spec, bits):
+    p = 1.0
+    for i, b in enumerate(bits):
+        z = spec.p0 if i < spec.k else spec.table["".join(map(str, bits[i - spec.k:i]))]
+        p *= z if b == 0 else 1.0 - z
+    return p
+
+
+def test_tables_match_enumeration():
+    # oracle: every length-n string's probability computed on its own, then
+    # pushed through vn_normalize
+    pairs = [{"00": 0.1, "01": 0.3, "10": 0.4, "11": 0.2},
+             {"00": 0.25, "01": 0.2, "10": 0.3, "11": 0.25}]
+    drift = DriftingSource(DriftParams(0.55, 0.05, 0.004), "adversarial")
+    sine = DriftingSource(DriftParams(0.5, 0.05, 0.01), "sine", period=40)
+    for n in range(1, 13):
+        specs = [(ConstantSource(0.7), lambda x: pn_prob(x, 0.7))]
+        for d in (drift, sine):
+            trace = d.realized_trace(n)
+            specs.append((d, lambda x, d=d, t=trace: rn_prob(x, t, d.params.p0)))
+        for k in (0, 1, 2, 3, 5):
+            mk = random_markov_source(k, 0.2, 0.5, 11 + k)
+            specs.append((mk, lambda x, mk=mk: _chain_prob(mk, list(x))))
+        if n % 2 == 0:
+            specs.append((PairwiseSource(pairs), lambda x: math.prod(
+                pairs[t % 2][x.to01()[2 * t:2 * t + 2]] for t in range(n // 2))))
+        strings = [BitString.from_int(v, n) for v in range(1 << n)]
+        outs = [vn_normalize(x) for x in strings]
+        for spec, prob in specs:
+            raw = np.array([prob(x) for x in strings])
+            assert np.abs(exact_source_dist(spec, n).probs - raw).max() <= 1e-12
+            for m in range(1, n // 2 + 1):
+                acc = np.zeros(1 << m)
+                for y, p in zip(outs, raw):
+                    if len(y) == m:
+                        acc[y.to_int()] += p
+                got = normalized_dist(spec, n, m).probs
+                assert np.abs(got - acc / acc.sum()).max() <= 1e-12, (spec, n, m)
+
+
 def test_uniform_dist_examples():
     assert list(uniform_dist(1).items()) == [("0", 0.5), ("1", 0.5)]
     assert np.allclose(uniform_dist(2).probs, 0.25)
@@ -148,6 +189,9 @@ def test_normalized_dist_guards():
     degenerate = PairwiseSource([{"00": 0.5, "01": 0.0, "10": 0.0, "11": 0.5}])
     with pytest.raises(DegenerateSourceError):
         normalized_dist(degenerate, 2, 1)
+    # the forward pass's state of 2^(k + m + 1) entries is guarded at 2^26
+    with pytest.raises(ValidationError, match=r"k \+ m \+ 1 <= 26"):
+        normalized_dist(random_markov_source(13, 0.1, 0.5, 1), 26, 13)
 
 
 def test_total_variation_examples():
@@ -264,6 +308,15 @@ def test_distribution_table_validation():
         DistributionTable(1, [-0.1, 1.1])
     with pytest.raises(ValidationError):
         DistributionTable(2, [0.5, 0.5])  # wrong size
+    with pytest.raises(ValidationError):
+        DistributionTable(1, [math.nan, math.nan])
+    for text, line in (("00,0.5\n1,0.5\n", 2),  # key length differs
+                       ("1,x\n", 1), ("0,0.5\n2,0.5\n", 2),
+                       ("1,0.5,7\n", 1), ("0,0.5\n\n0,0.5\n", 3)):
+        with pytest.raises(ValidationError, match=f"CSV line {line}:"):
+            DistributionTable.from_csv(io.StringIO(text))
+    with pytest.raises(ValidationError, match="duplicate"):
+        DistributionTable.from_csv(io.StringIO("1,0.5\n1,0.5\n"))
 
 
 def test_distribution_table_accessors():

@@ -73,6 +73,9 @@ def test_exact_skipped_beyond_guard():
     res = run_markov_experiment(exp)
     assert res.tv_exact is None
     assert not math.isnan(res.tv_empirical)
+    # within n <= 26 but beyond the state guard k + m + 1 <= 26
+    exp = MarkovExperiment(k=13, kappa=0.02, m=13, n=26, samples=200, seed=2)
+    assert run_markov_experiment(exp).tv_exact is None
 
 
 def test_markov_csv():
