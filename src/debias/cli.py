@@ -72,12 +72,12 @@ def _read_bits(path: str, fmt: str):
 
 def cmd_generate(args) -> int:
     spec = _source_from_args(args)
+    if args.trace_out and not isinstance(spec, sources.DriftingSource):
+        raise ValidationError(f"{args.source} source has no drift trace to write")
     bits, trace = sources.sample(spec, args.n, args.seed)
     with open(args.out, "wb") as f:
         f.write(serialize_bits(bits, args.format))
     if args.trace_out:
-        if trace is None:
-            raise ValidationError(f"{args.source} source has no drift trace to write")
         trace.save(args.trace_out)
     return 0
 

@@ -36,8 +36,18 @@ class DistributionTable:
     __slots__ = ("length", "probs")
 
     def __init__(self, length: int, probs, validate: bool = True):
+        self._adopt(length, np.array(probs, dtype=np.float64).reshape(-1), validate)
+
+    @classmethod
+    def _owning(cls, length: int, arr: np.ndarray) -> "DistributionTable":
+        """A validated table over ``arr`` itself, without the copy: for a
+        freshly built float64 vector that no caller keeps."""
+        table = cls.__new__(cls)
+        table._adopt(length, arr.reshape(-1), True)
+        return table
+
+    def _adopt(self, length: int, arr: np.ndarray, validate: bool) -> None:
         _check_enum_guard(length, "table length")
-        arr = np.asarray(probs, dtype=np.float64).reshape(-1).copy()
         if len(arr) != 1 << length:
             raise ValidationError(
                 f"need {1 << length} probabilities for length {length}, got {len(arr)}")
@@ -193,7 +203,7 @@ def exact_source_dist(spec: SourceSpec, n: int) -> DistributionTable:
             qt = qt.reshape(-1, 2, 2).sum(2)  # sum the phantom bit out
         h = min(len(probs), 1 << k)
         probs = (probs.reshape(-1, h, 1) * qt[:h]).ravel()
-    return DistributionTable(n, probs)
+    return DistributionTable._owning(n, probs)
 
 
 def normalized_dist(spec: SourceSpec, n: int, m: int) -> DistributionTable:
@@ -230,7 +240,7 @@ def normalized_dist(spec: SourceSpec, n: int, m: int) -> DistributionTable:
     if total <= 0.0:
         raise DegenerateSourceError(
             f"source assigns zero probability to every length-{m} output")
-    return DistributionTable(m, acc / total)
+    return DistributionTable._owning(m, acc / total)
 
 
 def total_variation(p: DistributionTable, q: DistributionTable) -> float:

@@ -84,28 +84,56 @@ def vn_preimage(y: BitString, n: int) -> set[BitString]:
     return out
 
 
-def _peres_chunks(arr: np.ndarray, sink: list) -> None:
-    if arr.size < 2:
-        return
-    k = arr.size // 2
-    a = arr[0 : 2 * k : 2]
-    b = arr[1 : 2 * k : 2]
-    diff = a != b
-    kept = a[diff]
-    if kept.size:
-        sink.append(kept)
-    _peres_chunks(a ^ b, sink)     # pair parities
-    _peres_chunks(a[~diff], sink)  # halves of the discarded pairs
-
-
 def peres_normalize(x: BitString) -> BitString:
     """Iterated von Neumann extraction: the plain output, then recursion on
-    the pair-XOR stream and on the discarded-pair halves."""
-    sink: list = []
-    _peres_chunks(x.to_array(), sink)
-    if not sink:
+    the pair-XOR stream and on the discarded-pair halves.
+
+    The recursion tree is processed one level at a time, with every segment
+    of a level in one array; a segment's odd trailing bit is dropped up
+    front, as the recursion ignores it.  Each node has a preorder key in
+    base 3: one digit per level, 1 for the XOR child and 2 for the
+    discarded-halves child, and the node's own output takes digit 0 below
+    its path.  Sorting the keys puts the outputs in recursion order, and
+    one gather moves the bits there.
+    """
+    arr = x.to_array()
+    data = arr[: len(arr) & ~1]
+    lens = np.array([len(data)] if len(data) else [], dtype=np.int64)
+    keys = np.zeros(len(lens), dtype=np.int64)
+    # weight of this level's digit; a segment at depth d has at most
+    # len >> d bits, so every level that still pairs bits has a weight >= 3
+    place = 3 ** max(len(arr).bit_length() - 1, 0)
+    out, out_keys, out_lens = [], [], []
+    while len(lens):
+        a, b = data[0::2], data[1::2]
+        diff = a != b
+        pairs = lens // 2
+        kept = np.add.reduceat(diff, np.cumsum(pairs) - pairs, dtype=np.int64)
+        out.append(a[diff])
+        out_keys.append(keys[kept > 0])
+        out_lens.append(kept[kept > 0])
+        data = np.concatenate([a ^ b, a[~diff]])
+        lens = np.concatenate([pairs, pairs - kept])
+        keys = np.concatenate([keys + place, keys + 2 * place])
+        place //= 3
+        odd = lens % 2 == 1
+        if odd.any():
+            keep = np.ones(len(data), dtype=bool)
+            keep[np.cumsum(lens)[odd] - 1] = False
+            data = data[keep]
+            lens = lens - odd
+        lens, keys = lens[lens > 0], keys[lens > 0]
+    if not out:
         return BitString()
-    return BitString.from_array(np.concatenate(sink))
+    bits, lens = np.concatenate(out), np.concatenate(out_lens)
+    order = np.argsort(np.concatenate(out_keys))  # keys are distinct
+    src = (np.cumsum(lens) - lens)[order]  # chunk starts in level order
+    lens = lens[order]
+    # output bit i of a chunk starting at dst is bit i - dst + src of `bits`
+    itype = np.int32 if len(bits) < 2**31 else np.int64  # halves the index memory
+    idx = np.repeat((src - (np.cumsum(lens) - lens)).astype(itype), lens)
+    idx += np.arange(len(bits), dtype=itype)
+    return BitString.from_array(bits[idx])
 
 
 def parity_normalize(x: BitString, block: int) -> BitString:

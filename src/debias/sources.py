@@ -27,6 +27,12 @@ TRAJECTORIES = ("walk", "sine", "fixed", "adversarial")
 # a k-memory source tabulates 2**k histories; the cap keeps that table small
 MAX_MARKOV_K = 16
 
+# draws per lane of the speculative pass in the walk and the Markov sampler
+_BLOCK = 1024
+
+# offsets formatted per write in DriftTrace.save; bounds the str objects alive
+_SAVE_CHUNK = 1 << 12
+
 
 def check_markov_k(k: int) -> None:
     """Reject a memory length outside 0..MAX_MARKOV_K."""
@@ -94,8 +100,9 @@ class DriftTrace:
     def save(self, path) -> None:
         """Write one decimal offset per line."""
         with open(path, "w") as f:
-            for e in self.epsilons:
-                f.write(f"{float(e)!r}\n")
+            for i in range(0, len(self.epsilons), _SAVE_CHUNK):
+                chunk = self.epsilons[i:i + _SAVE_CHUNK].tolist()
+                f.write("%r\n" * len(chunk) % tuple(chunk))
 
     @classmethod
     def load(cls, path) -> "DriftTrace":
@@ -229,17 +236,61 @@ class DriftingSource:
         return self._walk(n, rng)
 
     def _walk(self, n: int, rng) -> DriftTrace:
+        """eps_1 = 0, then eps_{i+1} = min(beta, max(-beta, eps_i + step_i))
+        with steps uniform in [-delta, delta]; bit-identical to running that
+        recurrence one step at a time.
+
+        The steps are cut into blocks of ``_BLOCK``, and one lockstep pass
+        walks every block from a guessed start of 0.  The blocks are then
+        repaired in order from the true start.  The step map is monotone and
+        deterministic, so once the true walk meets the guessed one the rest
+        of the block is already right; until then the walk is a running sum
+        from the true state (``np.cumsum`` adds left to right, as the loop
+        did), restarted after each clamp.  A clamp can make the two meet, so
+        a walk that clamps often is repaired in few steps, and one that
+        rarely clamps needs few restarts.
+        """
         beta, delta = self.params.beta, self.params.delta
-        eps = np.empty(n, dtype=np.float64)
         if n == 0:
-            return DriftTrace(eps)
-        steps = rng.uniform(-delta, delta, size=max(n - 1, 0))
-        e = 0.0
-        eps[0] = e
-        for i in range(n - 1):
-            e = min(beta, max(-beta, e + steps[i]))
-            eps[i + 1] = e
-        return DriftTrace(eps)
+            return DriftTrace(np.empty(0))
+        lanes = max(1, -(-(n - 1) // _BLOCK))
+        # w[i + 1] is step i; a running sum from eps_i first writes eps_i to w[i]
+        w = np.zeros(lanes * _BLOCK + 1)
+        w[1:n] = rng.uniform(-delta, delta, size=n - 1)
+        steps = w[1:].reshape(lanes, _BLOCK)
+        # guess[j, t] is eps at index j * _BLOCK + t, walked from guess[j, 0] = 0
+        guess = np.zeros((lanes, _BLOCK + 1))
+        nxt = np.empty(lanes)
+        for t in range(_BLOCK):
+            np.add(guess[:, t], steps[:, t], out=nxt)
+            nxt[nxt <= -beta] = -beta  # ties fall as in min(beta, max(-beta, x))
+            nxt[nxt >= beta] = beta
+            guess[:, t + 1] = nxt
+        # block 0 starts at the true eps_1 = 0; block j starts at block j-1's end
+        for j in range(1, lanes):
+            row = guess[j]
+            pattern = row.view(np.int64)  # compared bit for bit, signed zeros too
+            run = w[j * _BLOCK:(j + 1) * _BLOCK + 1]
+            e, t = guess[j - 1, _BLOCK], 0
+            while e.view(np.int64) != pattern[t]:
+                row[t] = e
+                if t == _BLOCK:
+                    break
+                run[t] = e
+                sums = np.cumsum(run[t:])[1:]
+                # the sums are the walk up to the first clamp or meeting
+                stop = (np.abs(sums) >= beta) | (sums.view(np.int64) == pattern[t + 1:])
+                c = int(np.argmax(stop))
+                if not stop[c]:
+                    row[t + 1:] = sums
+                    break
+                row[t + 1:t + 1 + c] = sums[:c]
+                t += c + 1
+                e = np.float64(min(beta, max(-beta, float(sums[c]))))
+        # every step is used, so w takes the walk
+        w[:-1].reshape(lanes, _BLOCK)[:] = guess[:, :-1]
+        w[-1] = guess[-1, -1]
+        return DriftTrace(w[:n])
 
 
 @dataclass(frozen=True)
@@ -328,11 +379,61 @@ def _bits_from_zero_probs(q0: np.ndarray, rng) -> BitString:
     return BitString.from_array((u >= q0).astype(np.uint8))
 
 
+def _markov_bits(spec: MarkovSource, n: int, rng) -> np.ndarray:
+    """Bit i is 1 iff uniform draw i >= P(0 | the previous k bits), or >= p0
+    for the first k bits; bit-identical to a loop over i.
+
+    The draws after the first k are cut into blocks of ``_BLOCK``, and one
+    lockstep pass runs every block from a guessed history of 0.  The blocks
+    are then repaired in order from the true history: once it equals the
+    guessed one the rest of the block is already right, and until then a
+    scalar loop over Python lists advances it.  The histories meet once k
+    bits in a row come out the same on both sides.
+    """
+    k, mask, cond = spec.k, (1 << spec.k) - 1, spec.cond_zero_probs()
+    head = min(k, n)
+    lanes = -(-(n - head) // _BLOCK)
+    u = np.zeros(head + lanes * _BLOCK)
+    rng.random(out=u[:n])
+    out = np.empty(n, dtype=np.uint8)
+    out[:head] = u[:head] >= spec.p0
+    h = int(out[:head] @ (1 << np.arange(head - 1, -1, -1)))
+    draws = u[head:].reshape(lanes, _BLOCK)
+    bits = np.empty((lanes, _BLOCK), dtype=np.uint8)
+    # hist[j, t] is the guessed history before draw t of block j; k <= 16 fits
+    hist = np.zeros((lanes, _BLOCK + 1), dtype=np.uint16)
+    for t in range(_BLOCK):
+        bits[:, t] = draws[:, t] >= cond[hist[:, t]]
+        hist[:, t + 1] = ((hist[:, t] << 1) | bits[:, t]) & mask
+    cl = cond.tolist()
+    for j in range(lanes):
+        if h != hist[j, 0]:
+            ul, hl, fixed = draws[j].tolist(), hist[j].tolist(), bytearray()
+            for t in range(_BLOCK):
+                if h == hl[t]:
+                    break
+                bit = ul[t] >= cl[h]
+                fixed.append(bit)
+                h = ((h << 1) | bit) & mask
+            bits[j, :len(fixed)] = np.frombuffer(fixed, dtype=np.uint8)
+            if len(fixed) == _BLOCK:
+                continue  # never met: h is already the true history
+        h = int(hist[j, _BLOCK])
+    out[head:] = bits.reshape(-1)[:n - head]
+    return out
+
+
 def sample(spec: SourceSpec, n: int, seed: int) -> tuple[BitString, Optional[DriftTrace]]:
     """Draw n bits from the model.  Pure in (spec, n, seed).
 
     A drifting source also returns its realized trace; other sources return
     None in the second slot.
+
+    Each bit compares one uniform draw with its zero-probability.  The walk
+    trace and the Markov bits are defined one step at a time; both are
+    computed block-parallel (``DriftingSource._walk``, ``_markov_bits``) and
+    are bit-identical to the step-by-step definitions.  A pairwise source
+    draws one uniform per pair against that slot's cumulative weights.
     """
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
@@ -349,25 +450,17 @@ def sample(spec: SourceSpec, n: int, seed: int) -> tuple[BitString, Optional[Dri
         return _bits_from_zero_probs(spec.params.p0 - trace.epsilons, rng), trace
 
     if isinstance(spec, MarkovSource):
-        cond = spec.cond_zero_probs()
-        u = rng.random(n)
-        out = np.empty(n, dtype=np.uint8)
-        mask = (1 << spec.k) - 1
-        h = 0
-        for i in range(n):
-            p = spec.p0 if i < spec.k else cond[h]
-            bit = 0 if u[i] < p else 1
-            out[i] = bit
-            h = ((h << 1) | bit) & mask
-        return BitString.from_array(out), None
+        return BitString.from_array(_markov_bits(spec, n, rng)), None
 
     if isinstance(spec, PairwiseSource):
         if n % 2:
             raise ValidationError("pairwise source emits whole pairs; n must be even")
-        mat = spec.pair_matrix(n // 2)
-        cum = np.cumsum(mat, axis=1)
+        cum = np.cumsum(spec.pair_matrix(len(spec.pair_dists)), axis=1)
         u = rng.random(n // 2)
-        idx = (u[:, None] >= cum[:, :3]).sum(axis=1)  # pair value 0..3
+        slot = np.arange(n // 2) % len(cum)
+        idx = np.zeros(n // 2, dtype=np.uint8)  # pair value 0..3
+        for c in range(3):
+            idx += u >= cum[slot, c]
         out = np.empty(n, dtype=np.uint8)
         out[0::2] = idx >> 1
         out[1::2] = idx & 1

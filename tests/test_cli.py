@@ -186,15 +186,17 @@ def test_exit_codes(tmp_path, capsys):
     (["markov", "--k", "17", "--kappa", "0.1", "--m", "2", "-n", "8"], "MAX_MARKOV_K = 16"),
     (["sweep", "--m-list", "10,x"], "--m-list"),
     (["sweep", "--m-list", "10", "--points", "-1"], "--points"),
-    (["analyze", "-i", "{bits}", "--max-m", "0", "--csv", "{csv}"], "--max-m"),
-    (["analyze", "-i", "{bits}", "--max-m", "9", "--csv", "{csv}"], "--max-m"),
+    (["analyze", "-i", "{bits}", "--max-m", "0", "--csv", "{out}"], "--max-m"),
+    (["analyze", "-i", "{bits}", "--max-m", "9", "--csv", "{out}"], "--max-m"),
+    (["generate", "--source", "constant", "--p0", "0.7", "-n", "1000", "-o", "{out}",
+      "--trace-out", "{bits}.trace"], "no drift trace"),
 ])
 def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     bits = tmp_path / "four.txt"
     bits.write_text("0110")
-    csv_out = tmp_path / "report.csv"
-    argv = [a.format(bits=bits, csv=csv_out) for a in argv]
+    out = tmp_path / "out.csv"  # the file no failing command may create
+    argv = [a.format(bits=bits, out=out) for a in argv]
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and needle in captured.err
-    assert captured.out == "" and not csv_out.exists()
+    assert captured.out == "" and not out.exists()

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,3 +346,22 @@ def test_csv_lexicographic_order():
     uniform_dist(2).to_csv(buf)
     lines = [ln.split(",")[0] for ln in buf.getvalue().strip().splitlines()]
     assert lines == sorted(lines) == ["00", "01", "10", "11"]
+
+
+def test_built_tables_are_not_copied():
+    # a built table is handed over, not copied: the fold's last step holds
+    # the table and its quarter-size predecessor, about 1.25x the table
+    n = 20
+    tracemalloc.start()
+    try:
+        table = exact_source_dist(ConstantSource(0.7), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.probs.nbytes == 8 << n
+    assert peak < 1.5 * table.probs.nbytes
+    # the public constructor still copies, since its caller keeps the array
+    probs = np.full(4, 0.25)
+    table = DistributionTable(2, probs)
+    probs[0] = 1.0
+    assert table.probs[0] == 0.25 and not table.probs.flags.writeable

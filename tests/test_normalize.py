@@ -153,3 +153,42 @@ def test_collapse_padding_is_invisible():
         for _ in range(int(rng.integers(0, 3))):
             body = body + (BitString("00") if rng.random() < 0.5 else BitString("11"))
         assert vn_normalize(body) == y
+
+
+# The recursion that peres_normalize used before its level-by-level route,
+# kept verbatim as the oracle: output must match byte for byte.
+
+def _peres_chunks(arr: np.ndarray, sink: list) -> None:
+    if arr.size < 2:
+        return
+    k = arr.size // 2
+    a = arr[0 : 2 * k : 2]
+    b = arr[1 : 2 * k : 2]
+    diff = a != b
+    kept = a[diff]
+    if kept.size:
+        sink.append(kept)
+    _peres_chunks(a ^ b, sink)     # pair parities
+    _peres_chunks(a[~diff], sink)  # halves of the discarded pairs
+
+
+def _peres_recursive(x: BitString) -> BitString:
+    sink: list = []
+    _peres_chunks(x.to_array(), sink)
+    if not sink:
+        return BitString()
+    return BitString.from_array(np.concatenate(sink))
+
+
+def test_peres_matches_recursion_exhaustive():
+    for n in range(0, 13):
+        for x in all_strings(n):
+            assert peres_normalize(x) == _peres_recursive(x), x
+
+
+@pytest.mark.parametrize("p0", [0.5, 0.7, 0.95])
+def test_peres_matches_recursion_random(p0):
+    rng = np.random.default_rng(31)
+    for n in (13, 1000, 1023, 1024, 10**5 + 1):
+        x = BitString.from_array((rng.random(n) >= p0).astype(np.uint8))
+        assert peres_normalize(x) == _peres_recursive(x), n

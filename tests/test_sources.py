@@ -5,6 +5,7 @@ from debias import (BitString, ConstantSource, DriftParams, DriftTrace,
                     DriftingSource, MarkovSource, PairwiseSource,
                     ValidationError, adversarial_trace, sample, sample_symbols,
                     validate_trace)
+from debias.sources import _BLOCK as BLOCK
 from debias.sources import load_markov_table, load_pair_dists, save_markov_table
 
 
@@ -225,3 +226,113 @@ def test_pair_dist_file(tmp_path):
     (tmp_path / "bad.txt").write_text("0.5 0.5\n")
     with pytest.raises(ValidationError):
         load_pair_dists(tmp_path / "bad.txt")
+
+
+# The loops below are the sequential routes that `sample` used before its
+# block-parallel ones, kept verbatim as oracles: output must match byte for
+# byte, walk trace included.
+
+def _walk_loop(params, n, rng):
+    beta, delta = params.beta, params.delta
+    eps = np.empty(n, dtype=np.float64)
+    if n == 0:
+        return DriftTrace(eps)
+    steps = rng.uniform(-delta, delta, size=max(n - 1, 0))
+    e = 0.0
+    eps[0] = e
+    for i in range(n - 1):
+        e = min(beta, max(-beta, e + steps[i]))
+        eps[i + 1] = e
+    return DriftTrace(eps)
+
+
+def _markov_loop(spec, n, rng):
+    cond = spec.cond_zero_probs()
+    u = rng.random(n)
+    out = np.empty(n, dtype=np.uint8)
+    mask = (1 << spec.k) - 1
+    h = 0
+    for i in range(n):
+        p = spec.p0 if i < spec.k else cond[h]
+        bit = 0 if u[i] < p else 1
+        out[i] = bit
+        h = ((h << 1) | bit) & mask
+    return BitString.from_array(out)
+
+
+def _pairwise_tiled(spec, n, rng):
+    mat = spec.pair_matrix(n // 2)
+    cum = np.cumsum(mat, axis=1)
+    u = rng.random(n // 2)
+    idx = (u[:, None] >= cum[:, :3]).sum(axis=1)  # pair value 0..3
+    out = np.empty(n, dtype=np.uint8)
+    out[0::2] = idx >> 1
+    out[1::2] = idx & 1
+    return BitString.from_array(out)
+
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-4, 0.01, 0.05])
+def test_walk_matches_loop_oracle(delta):
+    # beta = 0.05: delta = beta clamps about every third step, delta = 1e-4
+    # almost never, and delta = 0 never moves
+    spec = DriftingSource(DriftParams(0.55, 0.05, delta), trajectory="walk")
+    for seed in (1, 2, 3):
+        for n in (0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 10**5):
+            bits, trace = sample(spec, n, seed)
+            rng = np.random.default_rng(seed)
+            want = _walk_loop(spec.params, n, rng)
+            assert trace.epsilons.tobytes() == want.epsilons.tobytes(), (seed, n)
+            q0 = spec.params.p0 - want.epsilons
+            assert bits.to_array().tobytes() == (rng.random(n) >= q0).astype(np.uint8).tobytes()
+
+
+def _markov_specs():
+    rng = np.random.default_rng(17)
+    for k in (0, 1, 3, 16):
+        vals = rng.uniform(0.55, 0.65, size=1 << k)
+        yield MarkovSource(k=k, kappa=0.05, p0=0.6,
+                           table={format(h, f"0{k}b") if k else "": float(v)
+                                  for h, v in enumerate(vals)})
+    # deterministic tables: a history fixes the next bit, so a wrong guess
+    # never meets the true history (k = 1 alternates 0101...)
+    yield MarkovSource(k=1, kappa=0.5, p0=0.5, table={"0": 0.0, "1": 1.0})
+    yield MarkovSource(k=3, kappa=0.5, p0=0.5,
+                       table={format(h, "03b"): float(v)
+                              for h, v in enumerate([0, 1, 1, 0, 1, 0, 0, 1])})
+
+
+def _markov_id(spec):
+    return f"k{spec.k}" + ("-deterministic" if spec.kappa == 0.5 else "")
+
+
+@pytest.mark.parametrize("spec", list(_markov_specs()), ids=_markov_id)
+def test_markov_matches_loop_oracle(spec):
+    k = spec.k
+    for seed in (1, 2, 3):
+        for n in sorted({0, 1, k, k + 1, BLOCK - 1, BLOCK, BLOCK + k, BLOCK + k + 1,
+                         3 * BLOCK + 5, 10**5}):
+            bits, _ = sample(spec, n, seed)
+            assert bits == _markov_loop(spec, n, np.random.default_rng(seed)), (seed, n)
+
+
+def test_pairwise_matches_tiled_oracle():
+    rng = np.random.default_rng(4)
+    for slots in (1, 3, 11):
+        w = rng.uniform(0.5, 1.5, size=(slots, 4))
+        w[0, 1] = 0.0  # an empty pair value
+        w /= w.sum(axis=1, keepdims=True)
+        spec = PairwiseSource([dict(zip(("00", "01", "10", "11"), r)) for r in w.tolist()])
+        for n in (0, 2, 2 * slots, 2 * slots + 4, 10**5):
+            bits, _ = sample(spec, n, seed=slots)
+            assert bits == _pairwise_tiled(spec, n, np.random.default_rng(slots))
+
+
+def test_trace_save_writes_one_repr_per_line(tmp_path):
+    # more offsets than one write chunk, so the chunk seam is covered
+    spec = DriftingSource(DriftParams(0.55, 0.05, 0.01), trajectory="walk")
+    trace = spec.realized_trace(70_000, seed=8)
+    trace.save(tmp_path / "t.txt")
+    want = "".join(f"{float(e)!r}\n" for e in trace.epsilons)
+    assert (tmp_path / "t.txt").read_text() == want
+    assert DriftTrace.load(tmp_path / "t.txt") == trace
