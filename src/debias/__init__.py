@@ -3,12 +3,10 @@ distributions, drift-bound calibration, and empirical stream analysis."""
 
 from .bits import (BitString, QaryString, count_bits, parse_bits,
                    serialize_bits)
-from .bounds import (BinomialSpec, alpha_max, binom_cdf, binom_pmf, binom_tv,
-                     binom_tv_halfsum, calibrate_alpha, calibrate_delta,
-                     crossing_index, linear_alpha_for_rho, linear_bound,
-                     naive_alpha_for_rho, product_deviation_sum, reg_inc_beta,
-                     reg_inc_beta_via_binomial, tv_bound_exact, tv_bound_naive,
-                     u_max_oracle, u_value)
+from .bounds import (BinomialSpec, alpha_max, binom_pmf, binom_tv,
+                     calibrate_alpha, calibrate_delta, crossing_index,
+                     linear_alpha_for_rho, linear_bound, naive_alpha_for_rho,
+                     reg_inc_beta, tv_bound_exact, tv_bound_naive, u_value)
 from .errors import (BitFormatError, ConvergenceError, DegenerateSourceError,
                      ValidationError)
 from .exactdist import (DistributionTable, IndependenceViolation,

@@ -11,20 +11,20 @@ crude exponential bound and a first-order linear bound, plus the inverse
 
 The incomplete beta evaluator follows the classic continued-fraction scheme
 (modified Lentz, symmetry switch at x > (a+1)/(a+b+2), 500-iteration cap,
-1e-14 step tolerance).  Binomial log-pmfs use a saddle-point expansion
-(Stirling-error series plus a stable deviance term) rather than raw lgamma
-differences, which keeps results accurate to ~1e-13 even at n = 10**6; the
-same expansion supplies the continued fraction's front factor for integer
-parameters.
+1e-14 step tolerance).  Binomial log-pmfs use a scalar saddle-point expansion
+(Stirling-error series plus a stable deviance term; Loader 2000) rather than
+raw lgamma differences, which keeps results accurate to ~1e-13 even at
+n = 10**6; the same expansion supplies the continued fraction's front factor
+for integer parameters.  The binomial CDF is I_{1-p}(n-k, k+1) through
+:func:`reg_inc_beta`.  Each quantity has this one route; the slow
+independent routes (tail and half sums, grid search, sign-pattern
+enumeration) are test oracles and are not part of the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iproduct
-
-import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .sources import DriftParams
@@ -33,80 +33,52 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # exact Stirling-series remainders log n! - ((n+1/2)log n - n + log sqrt(2 pi))
 # for n = 1..15; index 0 unused
-_STIRLERR_SMALL = np.array(
-    [0.0] + [math.lgamma(n + 1) - ((n + 0.5) * math.log(n) - n + _LOG_SQRT_2PI)
-             for n in range(1, 16)])
+_STIRLERR_SMALL = [0.0] + [
+    math.lgamma(n + 1) - ((n + 0.5) * math.log(n) - n + _LOG_SQRT_2PI)
+    for n in range(1, 16)]
 
 
-def _stirlerr(n):
-    """Stirling-series remainder of log n!, vectorized; n >= 1."""
-    n = np.asarray(n, dtype=np.float64)
-    out = np.empty_like(n)
-    small = n < 16
-    if small.any():
-        out[small] = _STIRLERR_SMALL[n[small].astype(np.int64)]
-    big = ~small
-    if big.any():
-        nb = n[big]
-        nn = nb * nb
-        out[big] = (1.0 / 12.0
-                    - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * nn)) / nn) / nn) / nb
-    return out
+def _stirlerr(n: int) -> float:
+    """Stirling-series remainder of log n!; n >= 1."""
+    if n < 16:
+        return _STIRLERR_SMALL[int(n)]
+    nn = float(n) * n
+    return (1.0 / 12.0
+            - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * nn)) / nn) / nn) / n
 
 
-def _bd0(x, m):
+def _bd0(x: float, m: float) -> float:
     """Deviance term x*log(x/m) + m - x, computed stably near x = m."""
-    x = np.asarray(x, dtype=np.float64)
-    m = np.broadcast_to(np.asarray(m, dtype=np.float64), x.shape)
-    out = np.empty_like(x)
-    near = np.abs(x - m) < 0.1 * (x + m)
-    far = ~near
-    if far.any():
-        out[far] = x[far] * np.log(x[far] / m[far]) + m[far] - x[far]
-    if near.any():
-        xn, mn = x[near], m[near]
-        v = (xn - mn) / (xn + mn)
-        s = (xn - mn) * v
-        ej = 2.0 * xn * v
-        v2 = v * v
-        j = 1
-        while True:
-            ej = ej * v2
-            s1 = s + ej / (2 * j + 1)
-            if np.array_equal(s1, s):
-                break
-            s = s1
-            j += 1
-        out[near] = s
-    return out
-
-
-def _log_pmf_many(n: int, ks: np.ndarray, p: float) -> np.ndarray:
-    """log binomial pmf at each k in ks, saddle-point accuracy for any n."""
-    ks = np.asarray(ks, dtype=np.int64)
-    out = np.empty(len(ks), dtype=np.float64)
-    if p <= 0.0:
-        out[:] = -math.inf
-        out[ks == 0] = 0.0
-        return out
-    if p >= 1.0:
-        out[:] = -math.inf
-        out[ks == n] = 0.0
-        return out
-    out[ks == 0] = n * math.log1p(-p)
-    out[ks == n] = n * math.log(p)
-    mid = (ks > 0) & (ks < n)
-    if mid.any():
-        k = ks[mid].astype(np.float64)
-        nk = n - k
-        lc = (_stirlerr(n) - _stirlerr(k) - _stirlerr(nk)
-              - _bd0(k, n * p) - _bd0(nk, n * (1.0 - p)))
-        out[mid] = lc + 0.5 * np.log(n / (2.0 * math.pi * k * nk))
-    return out
+    if abs(x - m) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = (x - m) / (x + m)
+    s = (x - m) * v
+    ej = 2.0 * x * v
+    v2 = v * v
+    j = 1
+    while True:
+        ej *= v2
+        s1 = s + ej / (2 * j + 1)
+        if s1 == s:
+            return s
+        s = s1
+        j += 1
 
 
 def _log_pmf(n: int, k: int, p: float) -> float:
-    return float(_log_pmf_many(n, np.array([k]), p)[0])
+    """log P(Bin(n, p) = k), saddle-point accurate for any n; 0 <= k <= n."""
+    if p <= 0.0:
+        return 0.0 if k == 0 else -math.inf
+    if p >= 1.0:
+        return 0.0 if k == n else -math.inf
+    if k == 0:
+        return n * math.log1p(-p)
+    if k == n:
+        return n * math.log(p)
+    nk = n - k
+    lc = (_stirlerr(n) - _stirlerr(k) - _stirlerr(nk)
+          - _bd0(k, n * p) - _bd0(nk, n * (1.0 - p)))
+    return lc + 0.5 * math.log(n / (2.0 * math.pi * k * nk))
 
 
 @dataclass(frozen=True)
@@ -128,14 +100,6 @@ def binom_pmf(spec: BinomialSpec, k: int) -> float:
     if not 0 <= k <= spec.n:
         raise ValidationError(f"k = {k} out of range [0, {spec.n}]")
     return math.exp(_log_pmf(spec.n, k, spec.p))
-
-
-def binom_cdf(spec: BinomialSpec, k: int) -> float:
-    """P(X <= k) by direct pmf summation."""
-    if not 0 <= k <= spec.n:
-        raise ValidationError(f"k = {k} out of range [0, {spec.n}]")
-    terms = np.exp(_log_pmf_many(spec.n, np.arange(k + 1), spec.p))
-    return float(terms.sum())
 
 
 def _betacf(a: float, b: float, x: float, cap: int = 500, tol: float = 1e-14) -> float:
@@ -201,22 +165,6 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return 1.0 - _front_over_a(1.0 - x, b, a) * _betacf(b, a, 1.0 - x)
 
 
-def reg_inc_beta_via_binomial(x: float, a: int, b: int) -> float:
-    """Integer-parameter cross-check: I_x(a,b) = P(Bin(a+b-1, x) >= a),
-    summed tail-first with exact accumulation."""
-    if not (float(a).is_integer() and float(b).is_integer()) or a < 1 or b < 1:
-        raise ValidationError(f"need integer a, b >= 1, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"x must lie in [0,1], got {x}")
-    a, b = int(a), int(b)
-    n = a + b - 1
-    if b <= a:  # upper tail is the shorter sum
-        terms = np.exp(_log_pmf_many(n, np.arange(a, n + 1), x))
-        return math.fsum(terms.tolist())
-    terms = np.exp(_log_pmf_many(n, np.arange(0, a), x))
-    return 1.0 - math.fsum(terms.tolist())
-
-
 def crossing_index(n: int, p: float, x: float) -> int:
     """The count at which the pmfs of Bin(n,p) and Bin(n,p+x) cross; lies
     between ceil(n p) and ceil(n (p+x))."""
@@ -254,13 +202,6 @@ def binom_tv(n: int, p: float, x: float) -> float:
             - reg_inc_beta(p, ell, n - ell + 1))
 
 
-def binom_tv_halfsum(n: int, p: float, x: float) -> float:
-    """Direct half-sum oracle for :func:`binom_tv` (O(n) work)."""
-    ks = np.arange(n + 1)
-    d = np.exp(_log_pmf_many(n, ks, p)) - np.exp(_log_pmf_many(n, ks, p + x))
-    return 0.5 * float(np.abs(d).sum())
-
-
 def tv_bound_exact(m: int, alpha: float) -> float:
     """Worst-case distance from uniform over m-bit blocks at asymmetry alpha:
     the total variation between Bin(m, 1/2) and Bin(m, (1+alpha)/2)."""
@@ -283,12 +224,16 @@ def tv_bound_naive(m: int, alpha: float) -> float:
     return 0.5 * math.expm1(t)
 
 
+def _check_finite_nonnegative(name: str, v: float) -> None:
+    if not 0.0 <= v < math.inf:  # NaN fails too
+        raise ValidationError(f"{name} must be finite and >= 0, got {v}")
+
+
 def naive_alpha_for_rho(m: int, rho: float) -> float:
     """Inverse of the crude bound: (1+2 rho)^{1/m} - 1."""
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
-    if rho < 0.0:
-        raise ValidationError(f"rho must be >= 0, got {rho}")
+    _check_finite_nonnegative("rho", rho)
     return math.expm1(math.log1p(2.0 * rho) / m)
 
 
@@ -300,15 +245,13 @@ def _linear_slope(m: int) -> float:
 
 def linear_bound(m: int, alpha: float) -> float:
     """First-order bound alpha * sqrt((m+1) / (2 pi (1 - 2/m))); m >= 3."""
-    if alpha < 0.0:
-        raise ValidationError(f"alpha must be >= 0, got {alpha}")
+    _check_finite_nonnegative("alpha", alpha)
     return alpha * _linear_slope(m)
 
 
 def linear_alpha_for_rho(m: int, rho: float) -> float:
     """Inverse of the linear bound: rho * sqrt(2 pi (1 - 2/m) / (m+1))."""
-    if rho < 0.0:
-        raise ValidationError(f"rho must be >= 0, got {rho}")
+    _check_finite_nonnegative("rho", rho)
     return rho / _linear_slope(m)
 
 
@@ -338,8 +281,7 @@ def calibrate_delta(p0: float, beta: float, alpha: float) -> float:
     p1 = 1.0 - p0
     if not 0.0 <= beta < min(p0, p1):
         raise ValidationError(f"beta must lie in [0, min(p0,p1)), got {beta}")
-    if alpha < 0.0:
-        raise ValidationError(f"alpha must be >= 0, got {alpha}")
+    _check_finite_nonnegative("alpha", alpha)
     gap = abs(p0 - p1)
     num = 2.0 * alpha * (p0 * p1 - beta * beta - gap * beta)
     den = 1.0 - 2.0 * alpha * (beta + 0.5 * gap)
@@ -383,54 +325,3 @@ def alpha_max(p0: float, beta: float, delta: float) -> float:
     if den <= 0.0:
         raise ValidationError(f"denominator {den!r} is not positive")
     return delta / den
-
-
-def u_max_oracle(p0: float, beta: float, delta: float, h: float):
-    """Brute-force grid maximum of :func:`u_value` over the feasible region
-    {|eps| <= beta, |gamma| <= delta, |eps+gamma| <= beta}.
-
-    Returns (eps*, gamma*, value); value matches :func:`alpha_max` up to O(h).
-    """
-    DriftParams(p0, beta, delta)
-    if h <= 0.0:
-        raise ValidationError(f"grid resolution must be positive, got {h}")
-    p1 = 1.0 - p0
-
-    def grid(bound):
-        if bound == 0.0:
-            return np.zeros(1)
-        steps = max(1, round(2.0 * bound / h))
-        return np.linspace(-bound, bound, steps + 1)
-
-    eps = grid(beta)[:, None]
-    gam = grid(delta)[None, :]
-    feasible = np.abs(eps + gam) <= beta + 1e-12
-    den = (p0 - eps) * (p1 + eps + gam) + (p1 + eps) * (p0 - eps - gam)
-    u = np.abs(gam) / den
-    u[~feasible] = -1.0
-    i, j = np.unravel_index(np.argmax(u), u.shape)
-    return float(eps[i, 0]), float(gam[0, j]), float(u[i, j])
-
-
-def product_deviation_sum(cs) -> float:
-    """Sum over all sign patterns s of |prod_i (1 + s_i c_i) - 1|.
-
-    Nondecreasing in each |c_i| and invariant under sign flips of any c_i;
-    2^n times the L1 deviation of the +/-c product measure from uniform.
-    (Not *strictly* increasing everywhere: with two coordinates and
-    c_1 < c_2/(1+c_2) the sum is exactly 4*c_2, flat in c_1.)
-    """
-    cs = [float(c) for c in cs]
-    n = len(cs)
-    if n > 16:
-        raise ValidationError(f"enumeration over sign patterns guarded at 16, got {n}")
-    for c in cs:
-        if not -1.0 < c < 1.0:
-            raise ValidationError(f"coefficient {c} outside (-1,1)")
-    terms = []
-    for signs in _iproduct((1.0, -1.0), repeat=n):
-        prod = 1.0
-        for s, c in zip(signs, cs):
-            prod *= 1.0 + s * c
-        terms.append(abs(prod - 1.0))
-    return math.fsum(terms)

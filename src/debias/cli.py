@@ -146,17 +146,20 @@ def cmd_tv(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    drift = args.p0 is not None or args.beta is not None
+    if drift and (args.p0 is None or args.beta is None):
+        raise ValidationError("drift calibration needs both --p0 and --beta")
     if args.method == "exact":
         alpha = bounds.calibrate_alpha(args.m, args.rho)
     elif args.method == "naive":
         alpha = bounds.naive_alpha_for_rho(args.m, args.rho)
     else:
         alpha = bounds.linear_alpha_for_rho(args.m, args.rho)
-    print(f"alpha {_fmt(alpha)}")
-    if args.p0 is not None or args.beta is not None:
-        if args.p0 is None or args.beta is None:
-            raise ValidationError("drift calibration needs both --p0 and --beta")
-        print(f"delta {_fmt(bounds.calibrate_delta(args.p0, args.beta, alpha))}")
+    # compute (and so validate) every value before printing any
+    lines = [f"alpha {_fmt(alpha)}"]
+    if drift:
+        lines.append(f"delta {_fmt(bounds.calibrate_delta(args.p0, args.beta, alpha))}")
+    print("\n".join(lines))
     return 0
 
 

@@ -35,30 +35,29 @@ class DistributionTable:
 
     __slots__ = ("length", "probs")
 
-    def __init__(self, length: int, probs, validate: bool = True):
-        self._adopt(length, np.array(probs, dtype=np.float64).reshape(-1), validate)
+    def __init__(self, length: int, probs):
+        self._adopt(length, np.array(probs, dtype=np.float64).reshape(-1))
 
     @classmethod
     def _owning(cls, length: int, arr: np.ndarray) -> "DistributionTable":
         """A validated table over ``arr`` itself, without the copy: for a
         freshly built float64 vector that no caller keeps."""
         table = cls.__new__(cls)
-        table._adopt(length, arr.reshape(-1), True)
+        table._adopt(length, arr.reshape(-1))
         return table
 
-    def _adopt(self, length: int, arr: np.ndarray, validate: bool) -> None:
+    def _adopt(self, length: int, arr: np.ndarray) -> None:
         _check_enum_guard(length, "table length")
         if len(arr) != 1 << length:
             raise ValidationError(
                 f"need {1 << length} probabilities for length {length}, got {len(arr)}")
-        if validate:
-            if (arr < 0.0).any():
-                bad = int(np.argmax(arr < 0.0))
-                raise ValidationError(
-                    f"negative probability {arr[bad]!r} for {format_bits(bad, length)!r}")
-            total = float(arr.sum())
-            if not abs(total - 1.0) <= 1e-12:  # NaN fails too
-                raise ValidationError(f"probabilities sum to {total!r}, expected 1")
+        if (arr < 0.0).any():
+            bad = int(np.argmax(arr < 0.0))
+            raise ValidationError(
+                f"negative probability {arr[bad]!r} for {format_bits(bad, length)!r}")
+        total = float(arr.sum())
+        if not abs(total - 1.0) <= 1e-12:  # NaN fails too
+            raise ValidationError(f"probabilities sum to {total!r}, expected 1")
         arr.flags.writeable = False
         self.length = length
         self.probs = arr
@@ -131,7 +130,7 @@ class DistributionTable:
 def uniform_dist(m: int) -> DistributionTable:
     """Every length-m string gets 2**-m."""
     _check_enum_guard(m, "m")
-    return DistributionTable(m, np.full(1 << m, 0.5 ** m), validate=False)
+    return DistributionTable._owning(m, np.full(1 << m, 0.5 ** m))
 
 
 def pn_prob(x: BitString, p0: float) -> float:

@@ -16,16 +16,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bound_oracles import (binom_tv_halfsum, product_deviation_sum,
+                           reg_inc_beta_via_binomial, u_max_oracle)
 from debias import (BitString, ConstantSource, DriftParams, DriftingSource,
-                    PairwiseSource, alpha_max, binom_tv, binom_tv_halfsum,
-                    borel_counts, calibrate_alpha, check_independence,
-                    crossing_index, delete_symbol, empirical_block_dist,
-                    exact_source_dist, linear_alpha_for_rho, linear_bound,
-                    normalized_dist, peres_normalize, product_deviation_sum,
-                    reg_inc_beta, reg_inc_beta_via_binomial, sample,
-                    sample_symbols, symbol_block_counts, total_variation,
-                    tv_bound_exact, tv_bound_naive, u_max_oracle, uniform_dist,
-                    vn_normalize, worst_case_product_dist)
+                    PairwiseSource, alpha_max, binom_tv, borel_counts,
+                    calibrate_alpha, check_independence, crossing_index,
+                    delete_symbol, empirical_block_dist, exact_source_dist,
+                    linear_alpha_for_rho, linear_bound, normalized_dist,
+                    peres_normalize, reg_inc_beta, sample, sample_symbols,
+                    symbol_block_counts, total_variation, tv_bound_exact,
+                    tv_bound_naive, uniform_dist, vn_normalize,
+                    worst_case_product_dist)
 from debias.bounds import _log_pmf
 from debias.stats import sweep, write_sweep_csv
 

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import betainc as scipy_betainc
 
-from debias import (BinomialSpec, ConvergenceError, ValidationError, alpha_max, binom_cdf,
-                    binom_pmf, binom_tv, binom_tv_halfsum, calibrate_alpha,
-                    calibrate_delta, crossing_index, linear_alpha_for_rho,
-                    linear_bound, naive_alpha_for_rho, product_deviation_sum,
-                    reg_inc_beta, reg_inc_beta_via_binomial, tv_bound_exact,
-                    tv_bound_naive, u_max_oracle, u_value)
+from bound_oracles import (_log_pmf_many, binom_cdf, binom_tv_halfsum,
+                           product_deviation_sum, reg_inc_beta_via_binomial,
+                           u_max_oracle)
+from debias import (BinomialSpec, ConvergenceError, ValidationError, alpha_max,
+                    binom_pmf, binom_tv, calibrate_alpha, calibrate_delta,
+                    crossing_index, linear_alpha_for_rho, linear_bound,
+                    naive_alpha_for_rho, reg_inc_beta, tv_bound_exact,
+                    tv_bound_naive, u_value)
+from debias.bounds import _log_pmf
 
 
 def test_u_value_examples():
@@ -95,6 +98,42 @@ def test_binom_pmf_matches_exact_small():
             assert binom_pmf(BinomialSpec(n, 0.3), k) == pytest.approx(
                 math.comb(n, k) * 0.3**k * 0.7**(n - k), rel=1e-13)
             assert exact >= 0
+
+
+def test_log_pmf_matches_vectorized_oracle():
+    rng = np.random.default_rng(71)
+    cases = []  # (n, p, ks)
+    for n in range(1, 16):  # the tabulated Stirling remainders, every k
+        for p in (0.0, 0.03, 0.5, 0.91, 1.0):
+            cases.append((n, p, range(n + 1)))
+    near = far = 0
+    for _ in range(400):
+        n = int(math.exp(rng.uniform(0.0, math.log(1e9))))
+        p = float(rng.uniform(0.0, 1.0))
+        mode = round(n * p)
+        ks = {0, n, mode, max(0, mode - 1), min(n, mode + 1),
+              *(int(k) for k in rng.integers(0, n + 1, 8))}
+        for k in ks:  # count the _bd0 branch each interior k takes for Bin(n, p)
+            if 0 < k < n:
+                if abs(k - n * p) < 0.1 * (k + n * p):
+                    near += 1
+                else:
+                    far += 1
+        cases.append((n, p, sorted(ks)))
+    cases += [(10**9, 0.0, [0, 1, 10**9]), (10**9, 1.0, [0, 10**9 - 1, 10**9])]
+    assert near > 100 and far > 100
+    for n, p, ks in cases:
+        want = _log_pmf_many(n, np.array(ks), p)
+        for k, w in zip(ks, want.tolist()):
+            got = _log_pmf(n, k, p)
+            if math.isinf(w):
+                assert got == w, (n, k, p)
+                continue
+            # bd0's far branch adds x*log(x/m) to m ~ n before subtracting x,
+            # so numpy's SIMD log and libm's log, which differ by an ulp on
+            # some inputs, can move the result by an ulp of n
+            scale = max(abs(w), n)
+            assert abs(got - w) <= 4 * math.ulp(scale), (n, k, p, got, w)
 
 
 def test_reg_inc_beta_trivial_and_closed_forms():
@@ -245,6 +284,16 @@ def test_linear_bound_examples():
         linear_bound(2, 0.1)
     with pytest.raises(ValidationError):
         linear_alpha_for_rho(2, 0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-3])
+def test_finite_nonnegative_inputs_required(bad):
+    calls = [lambda: linear_bound(10, bad), lambda: naive_alpha_for_rho(10, bad),
+             lambda: linear_alpha_for_rho(10, bad),
+             lambda: calibrate_delta(0.5, 0.1, bad)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="must be finite and >= 0"):
+            call()
 
 
 def test_bound_ordering():

@@ -190,6 +190,14 @@ def test_exit_codes(tmp_path, capsys):
     (["analyze", "-i", "{bits}", "--max-m", "9", "--csv", "{out}"], "--max-m"),
     (["generate", "--source", "constant", "--p0", "0.7", "-n", "1000", "-o", "{out}",
       "--trace-out", "{bits}.trace"], "no drift trace"),
+    (["calibrate", "--m", "10", "--rho", "0.01", "--p0", "0.55"], "both --p0 and --beta"),
+    (["calibrate", "--m", "10", "--rho", "0.01", "--method", "linear", "--p0", "0.55",
+      "--beta", "0.6"], "beta must lie"),
+    (["tv", "--m", "10", "--alpha", "nan", "--method", "linear"], "alpha must be finite"),
+    (["tv", "--m", "10", "--alpha", "inf", "--method", "linear"], "alpha must be finite"),
+    (["calibrate", "--m", "10", "--rho", "nan", "--method", "naive"], "rho must be finite"),
+    (["calibrate", "--m", "10", "--rho", "nan", "--method", "linear", "--p0", "0.55",
+      "--beta", "0.05"], "rho must be finite"),
 ])
 def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     bits = tmp_path / "four.txt"
