@@ -234,7 +234,10 @@ def naive_alpha_for_rho(m: int, rho: float) -> float:
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
     _check_finite_nonnegative("rho", rho)
-    return math.expm1(math.log1p(2.0 * rho) / m)
+    alpha = math.expm1(math.log1p(2.0 * rho) / m)
+    if not math.isfinite(alpha):
+        raise ValidationError(f"rho = {rho} is too large: the naive inverse overflows")
+    return alpha
 
 
 def _linear_slope(m: int) -> float:
@@ -246,6 +249,8 @@ def _linear_slope(m: int) -> float:
 def linear_bound(m: int, alpha: float) -> float:
     """First-order bound alpha * sqrt((m+1) / (2 pi (1 - 2/m))); m >= 3."""
     _check_finite_nonnegative("alpha", alpha)
+    if alpha >= 1.0:
+        raise ValidationError(f"alpha must lie in [0,1), got {alpha}")
     return alpha * _linear_slope(m)
 
 
@@ -255,18 +260,49 @@ def linear_alpha_for_rho(m: int, rho: float) -> float:
     return rho / _linear_slope(m)
 
 
+def _tv_slope(m: int, alpha: float) -> float:
+    """d tv_bound_exact(m, alpha) / d alpha = (m/2) pmf(m-1, l-1; (1+alpha)/2),
+    l the crossing index; at alpha = 0 it is the limit from above, l = m//2 + 1."""
+    ell = crossing_index(m, 0.5, 0.5 * alpha) if alpha > 0.0 else m // 2 + 1
+    return 0.5 * m * math.exp(_log_pmf(m - 1, ell - 1, 0.5 + 0.5 * alpha))
+
+
 def calibrate_alpha(m: int, rho: float, tol: float = 1e-10) -> float:
-    """Largest alpha whose exact worst-case bound stays within rho, by
-    bisection on the (monotone) exact bound."""
+    """Largest alpha whose exact worst-case bound stays within rho: the float
+    that bisection on the (monotone) exact bound from (0, 1 - 1e-9) returns.
+
+    Safeguarded Newton steps on the closed-form slope (``rtsafe``) close an
+    evaluated bracket a < b, tv(a) <= rho < tv(b), to width tol/16; the
+    bisection's midpoints are then replayed, and only one strictly inside
+    (a, b) is evaluated.
+    """
     if not 0.0 < rho < 1.0:
         raise ValidationError(f"rho must lie in (0,1), got {rho}")
     hi = 1.0 - 1e-9
     if tv_bound_exact(m, hi) <= rho:
         return hi
+    w = tol / 16.0
+    a, b = 0.0, hi
+    x, fx = 0.0, -rho  # tv(0) = 0: the first step needs no evaluation
+    last = before = hi  # the last two steps
+    while b - a > w:
+        slope = _tv_slope(m, x)
+        step = fx / slope if slope > 0.0 else math.inf
+        if abs(step) < 0.5 * w:  # probe just across the root; x is a or b
+            step = -0.5 * w if fx <= 0.0 else 0.5 * w
+        elif not a < x - step < b or abs(step) > 0.5 * abs(before):
+            step = x - 0.5 * (a + b)
+        before, last = last, step
+        x -= step
+        fx = tv_bound_exact(m, x) - rho
+        if fx <= 0.0:
+            a = x
+        else:
+            b = x
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if tv_bound_exact(m, mid) <= rho:
+        if mid <= a or (mid < b and tv_bound_exact(m, mid) <= rho):
             lo = mid
         else:
             hi = mid

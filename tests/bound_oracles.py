@@ -5,7 +5,8 @@ the array-and-mask form of the saddle-point expansion (Loader 2000), kept as a
 reference for the scalar ``debias.bounds._log_pmf``; the tail sums, half sums,
 grid search and sign-pattern enumeration built on it check the continued
 fraction, the crossing-index TV formula, ``alpha_max`` and the flat region of
-the deviation sum.
+the deviation sum.  The plain bisection is the float that
+``debias.calibrate_alpha`` must return.
 """
 
 import math
@@ -13,7 +14,7 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from debias import BinomialSpec, DriftParams, ValidationError
+from debias import BinomialSpec, DriftParams, ValidationError, tv_bound_exact
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -171,3 +172,21 @@ def product_deviation_sum(cs) -> float:
             prod *= 1.0 + s * c
         terms.append(abs(prod - 1.0))
     return math.fsum(terms)
+
+
+def calibrate_alpha_bisection(m: int, rho: float, tol: float = 1e-10) -> float:
+    """Largest alpha whose exact worst-case bound stays within rho, by
+    bisection on the (monotone) exact bound."""
+    if not 0.0 < rho < 1.0:
+        raise ValidationError(f"rho must lie in (0,1), got {rho}")
+    hi = 1.0 - 1e-9
+    if tv_bound_exact(m, hi) <= rho:
+        return hi
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if tv_bound_exact(m, mid) <= rho:
+            lo = mid
+        else:
+            hi = mid
+    return lo

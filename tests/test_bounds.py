@@ -5,14 +5,15 @@ import pytest
 from scipy.special import betainc as scipy_betainc
 
 from bound_oracles import (_log_pmf_many, binom_cdf, binom_tv_halfsum,
-                           product_deviation_sum, reg_inc_beta_via_binomial,
-                           u_max_oracle)
+                           calibrate_alpha_bisection, product_deviation_sum,
+                           reg_inc_beta_via_binomial, u_max_oracle)
 from debias import (BinomialSpec, ConvergenceError, ValidationError, alpha_max,
                     binom_pmf, binom_tv, calibrate_alpha, calibrate_delta,
                     crossing_index, linear_alpha_for_rho, linear_bound,
                     naive_alpha_for_rho, reg_inc_beta, tv_bound_exact,
                     tv_bound_naive, u_value)
-from debias.bounds import _log_pmf
+from debias import bounds
+from debias.bounds import _log_pmf, _tv_slope
 
 
 def test_u_value_examples():
@@ -274,6 +275,10 @@ def test_naive_bound_examples():
     assert naive_alpha_for_rho(1, 0.5) == pytest.approx(1.0, abs=1e-12)
     assert naive_alpha_for_rho(2, 0.5) == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
     assert tv_bound_naive(10**6, 0.1) == math.inf
+    assert math.isfinite(naive_alpha_for_rho(1, 1e300))
+    for m, rho in ((1, 1e308), (1, 9e307), (7, 1.7e308)):  # 2 rho overflows
+        with pytest.raises(ValidationError, match="rho = "):
+            naive_alpha_for_rho(m, rho)
 
 
 def test_linear_bound_examples():
@@ -282,6 +287,9 @@ def test_linear_bound_examples():
     assert tv_bound_exact(100, 0.01) <= linear_bound(100, 0.01)
     with pytest.raises(ValidationError):
         linear_bound(2, 0.1)
+    for alpha in (1.0, 5.0, 1e308):  # the range tv_bound_exact accepts
+        with pytest.raises(ValidationError, match=r"alpha must lie in \[0,1\)"):
+            linear_bound(3, alpha)
     with pytest.raises(ValidationError):
         linear_alpha_for_rho(2, 0.1)
 
@@ -321,6 +329,76 @@ def test_calibrate_alpha_examples():
     assert tv_bound_exact(50, calibrate_alpha(50, 0.05)) <= 0.05 + 1e-9
     with pytest.raises(ValidationError):
         calibrate_alpha(2, 0.0)
+
+
+_CAL_RHOS = (1e-12, 1e-9, 1e-4, 0.01, 0.1, 0.25, 0.5, 0.75, 0.99, 0.999999)
+
+
+def _calibration_grid():
+    """m = 1..59 x _CAL_RHOS (m = 2 has a convex TV), the early return at
+    m = 1, rho = 0.6, and 300 seeded random points with m <= 10**6."""
+    pts = [(m, rho) for m in range(1, 60) for rho in _CAL_RHOS] + [(1, 0.6)]
+    rng = np.random.default_rng(61)
+    for _ in range(300):
+        pts.append((int(10 ** rng.uniform(0, 6)),
+                    float(10 ** rng.uniform(-12, math.log10(0.999999)))))
+    return pts
+
+
+def test_calibrate_matches_bisection_oracle():
+    returned = 0
+    for m, rho in _calibration_grid():
+        try:
+            want = calibrate_alpha_bisection(m, rho)
+        except ConvergenceError:
+            try:  # a value or the same error, never a new failure
+                calibrate_alpha(m, rho)
+            except ConvergenceError:
+                pass
+            continue
+        assert calibrate_alpha(m, rho) == want, (m, rho)
+        returned += 1
+    assert returned > 800
+    assert calibrate_alpha(1, 0.6) == 1.0 - 1e-9
+
+
+def test_calibrate_alpha_evaluation_count(monkeypatch):
+    calls = []
+    exact = bounds.tv_bound_exact
+
+    def counted(m, alpha):
+        calls.append(alpha)
+        return exact(m, alpha)
+
+    monkeypatch.setattr(bounds, "tv_bound_exact", counted)
+    per_call = []
+    for m, rho in _calibration_grid():
+        del calls[:]
+        try:
+            calibrate_alpha(m, rho)
+        except ConvergenceError:
+            pass
+        per_call.append(len(calls))
+    assert np.mean(per_call) <= 6.0
+    assert max(per_call) <= 35  # bisection's count from (0, 1 - 1e-9) to 1e-10
+
+
+def test_tv_slope_matches_finite_difference():
+    for m in (3, 100, 10**4, 10**6):
+        # up to 3 sigma, before the bound saturates and rounding swamps the difference
+        for alpha in (c / math.sqrt(m) for c in (0.05, 0.53, 1.07, 1.73, 2.93)):
+            if alpha >= 1.0:
+                continue
+            h = 1e-5 / math.sqrt(m)  # large enough for the bound's ~1e-13 accuracy
+            lo, hi = alpha - h, alpha + h
+            # the slope jumps where the crossing index does: c keeps m*alpha/4,
+            # about the index's offset from m/2, away from integers
+            assert crossing_index(m, 0.5, 0.5 * lo) == crossing_index(m, 0.5, 0.5 * hi)
+            diff = (tv_bound_exact(m, hi) - tv_bound_exact(m, lo)) / (2.0 * h)
+            assert _tv_slope(m, alpha) == pytest.approx(diff, rel=1e-6), (m, alpha)
+        # alpha = 0 takes the limit from above of the crossing index
+        assert _tv_slope(m, 0.0) == pytest.approx(_tv_slope(m, 1e-15), rel=1e-9)
+    assert _tv_slope(1, 0.0) == _tv_slope(2, 0.0) == 0.5
 
 
 def test_calibrate_delta_examples():

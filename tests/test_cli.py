@@ -1,12 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from debias import (BitString, ConstantSource, bounds, normalized_dist,
+from debias import (BitString, ConstantSource, bounds, cli, normalized_dist,
                     parity_normalize, parse_bits, peres_normalize, sample,
                     serialize_bits, tv_bound_exact, vn_normalize)
-from debias.cli import DEFAULT_SEED, run
+from debias.cli import DEFAULT_SEED, build_parser, run
 
 
 def read_bits(path, fmt="ascii"):
@@ -198,6 +201,9 @@ def test_exit_codes(tmp_path, capsys):
     (["calibrate", "--m", "10", "--rho", "nan", "--method", "naive"], "rho must be finite"),
     (["calibrate", "--m", "10", "--rho", "nan", "--method", "linear", "--p0", "0.55",
       "--beta", "0.05"], "rho must be finite"),
+    (["calibrate", "--method", "naive", "--m", "1", "--rho", "1e308"], "rho = 1e+308"),
+    (["tv", "--method", "linear", "--m", "3", "--alpha", "1e308"], "alpha must lie in [0,1)"),
+    (["tv", "--method", "linear", "--m", "3", "--alpha", "5"], "alpha must lie in [0,1)"),
 ])
 def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     bits = tmp_path / "four.txt"
@@ -208,3 +214,23 @@ def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and needle in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def test_parser_built_once_and_dispatch_late_bound(monkeypatch, capsys):
+    assert build_parser() is build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_tv", lambda args: seen.append(args.alpha) or 0)
+    assert run(["tv", "--m", "2", "--alpha", "0.2"]) == 0
+    assert seen == [0.2] and capsys.readouterr().out == ""
+    monkeypatch.undo()
+    # a usage error leaves nothing behind in the shared parser
+    argv = ["calibrate", "--m", "2", "--rho", "0.11", "--p0", "0.5", "--beta", "0.1"]
+    assert run(["calibrate", "--m", "2", "--rho", "x"]) == 1
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-c", "from debias.cli import main; main()", *argv],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out == fresh.stdout and out.startswith("alpha 0.199999999986\n")
