@@ -1,8 +1,7 @@
 """Von Neumann-style un-biasing of bit sources, with exact output
 distributions, drift-bound calibration, and empirical stream analysis."""
 
-from .bits import (BitString, QaryString, count_bits, parse_bits,
-                   serialize_bits)
+from .bits import BitString, QaryString, parse_bits, serialize_bits
 from .bounds import (BinomialSpec, alpha_max, binom_pmf, binom_tv,
                      calibrate_alpha, calibrate_delta, crossing_index,
                      linear_alpha_for_rho, linear_bound, naive_alpha_for_rho,
@@ -11,12 +10,11 @@ from .errors import (BitFormatError, ConvergenceError, DegenerateSourceError,
                      ValidationError)
 from .exactdist import (DistributionTable, IndependenceViolation,
                         check_independence, exact_source_dist, normalized_dist,
-                        pn_prob, rn_prob, total_variation, uniform_dist,
-                        worst_case_product_dist)
+                        total_variation, uniform_dist, worst_case_product_dist)
 from .markov import (MarkovExperiment, MarkovResult, random_markov_source,
                      run_markov_experiment, write_markov_csv)
 from .normalize import (delete_symbol, parity_normalize, peres_normalize,
-                        vn_encode, vn_normalize, vn_pair, vn_preimage)
+                        vn_encode, vn_normalize, vn_preimage)
 from .sources import (ConstantSource, DriftingSource, DriftParams, DriftTrace,
                       MarkovSource, PairwiseSource, SourceSpec, TraceViolation,
                       adversarial_trace, sample, sample_symbols, validate_trace)

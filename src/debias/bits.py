@@ -34,6 +34,13 @@ def format_bits(value: int, length: int) -> str:
     return format(value, f"0{length}b") if length else ""
 
 
+def rank_bits(start: int, stop: int, length: int) -> np.ndarray:
+    """The MSB-first ``length``-bit strings of ranks ``start .. stop - 1`` as
+    one uint8 row each; ``length <= 32``."""
+    ranks = np.arange(start, stop, dtype=">u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(ranks, axis=1)[:, 32 - length:]
+
+
 def _decode_ascii(data: bytes, skip: bytes = b"") -> bytes:
     """The '0'/'1' bytes of ``data`` as 0/1 bytes, with the bytes in ``skip``
     dropped.  Raises BitFormatError at the first byte that is neither."""
@@ -187,11 +194,6 @@ class QaryString:
 
     def __repr__(self) -> str:
         return f"QaryString({self.symbols.tolist()!r}, q={self.q})"
-
-
-def count_bits(x: BitString, bit: int) -> int:
-    """Number of occurrences of ``bit`` in ``x``."""
-    return x.count(bit)
 
 
 def parse_bits(data: bytes, fmt: str) -> BitString:

@@ -230,13 +230,19 @@ def _check_finite_nonnegative(name: str, v: float) -> None:
 
 
 def naive_alpha_for_rho(m: int, rho: float) -> float:
-    """Inverse of the crude bound: (1+2 rho)^{1/m} - 1."""
+    """Inverse of the crude bound: (1+2 rho)^{1/m} - 1; raises past alpha = 1."""
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
     _check_finite_nonnegative("rho", rho)
-    alpha = math.expm1(math.log1p(2.0 * rho) / m)
-    if not math.isfinite(alpha):
-        raise ValidationError(f"rho = {rho} is too large: the naive inverse overflows")
+    return _alpha_at_most_one(m, rho, math.expm1(math.log1p(2.0 * rho) / m))
+
+
+def _alpha_at_most_one(m: int, rho: float, alpha: float) -> float:
+    """``alpha`` if it lies in the bounds' domain; an inverse bound past
+    alpha = 1 (or overflowing to inf) means rho is out of reach at this m."""
+    if not alpha <= 1.0:
+        raise ValidationError(
+            f"rho = {rho} is too large for m = {m}: it needs alpha = {alpha!r} > 1")
     return alpha
 
 
@@ -255,9 +261,10 @@ def linear_bound(m: int, alpha: float) -> float:
 
 
 def linear_alpha_for_rho(m: int, rho: float) -> float:
-    """Inverse of the linear bound: rho * sqrt(2 pi (1 - 2/m) / (m+1))."""
+    """Inverse of the linear bound: rho * sqrt(2 pi (1 - 2/m) / (m+1)); raises
+    past alpha = 1."""
     _check_finite_nonnegative("rho", rho)
-    return rho / _linear_slope(m)
+    return _alpha_at_most_one(m, rho, rho / _linear_slope(m))
 
 
 def _tv_slope(m: int, alpha: float) -> float:

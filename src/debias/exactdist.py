@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, format_bits
+from .bits import BitString, format_bits, rank_bits
 from .errors import DegenerateSourceError, ValidationError
-from .sources import (ConstantSource, DriftingSource, DriftTrace, MarkovSource,
-                      PairwiseSource, SourceSpec)
+from .sources import (ConstantSource, DriftingSource, MarkovSource, PairwiseSource,
+                      SourceSpec)
 
 MAX_ENUM_N = 26
+_CSV_CHUNK = 1 << 8  # rows per write; larger chunks fragmented the heap and raised peak RSS
 
 
 def _check_enum_guard(n: int, what: str = "n") -> None:
@@ -84,14 +85,23 @@ class DistributionTable:
             yield format_bits(i, self.length), float(p)
 
     def to_csv(self, file) -> None:
-        """Write ``string,probability`` rows in lexicographic order."""
-        if hasattr(file, "write"):
-            w = csv.writer(file)
-            for s, p in self.items():
-                w.writerow([s, repr(p)])
-        else:
+        """Write ``string,probability\\r\\n`` rows in lexicographic order, the
+        bytes ``csv.writer`` writes for ``[key, repr(p)]``.
+
+        Rows go out in chunks of 2^8: the chunk's keys are the bits of
+        its big-endian ranks (``np.unpackbits``) plus ``'0'``, laid out as one
+        ``key,%r\\r\\n`` format string that a single ``%`` fills in.
+        """
+        if not hasattr(file, "write"):
             with open(file, "w", newline="") as f:
-                self.to_csv(f)
+                return self.to_csv(f)
+        n = self.length
+        for lo in range(0, len(self.probs), _CSV_CHUNK):
+            probs = self.probs[lo:lo + _CSV_CHUNK]
+            rows = np.empty((len(probs), n + 5), dtype=np.uint8)
+            rows[:, :n] = rank_bits(lo, lo + len(probs), n) + ord("0")
+            rows[:, n:] = np.frombuffer(b",%r\r\n", dtype=np.uint8)
+            file.write(rows.tobytes().decode("ascii") % tuple(probs.tolist()))
 
     @classmethod
     def from_csv(cls, file) -> "DistributionTable":
@@ -131,26 +141,6 @@ def uniform_dist(m: int) -> DistributionTable:
     """Every length-m string gets 2**-m."""
     _check_enum_guard(m, "m")
     return DistributionTable._owning(m, np.full(1 << m, 0.5 ** m))
-
-
-def pn_prob(x: BitString, p0: float) -> float:
-    """Constant-bias string probability p0^{zeros} * p1^{ones}."""
-    if not 0.0 < p0 < 1.0:
-        raise ValidationError(f"p0 must lie in (0,1), got {p0}")
-    ones = x.count(1)
-    return p0 ** (len(x) - ones) * (1.0 - p0) ** ones
-
-
-def rn_prob(x: BitString, trace: DriftTrace, p0: float) -> float:
-    """Drifting-bias string probability: the product over bits of
-    p0 - eps_i (bit 0) or p1 + eps_i (bit 1), with the trace aligned to x."""
-    if not 0.0 < p0 < 1.0:
-        raise ValidationError(f"p0 must lie in (0,1), got {p0}")
-    if len(trace) < len(x):
-        raise ValidationError(f"trace has {len(trace)} entries, need {len(x)}")
-    bits = x.to_array()
-    eps = trace.epsilons[: len(bits)]
-    return float(np.prod(np.where(bits == 1, (1.0 - p0) + eps, p0 - eps)))
 
 
 def _pair_masses(spec: SourceSpec, n: int) -> tuple[int, np.ndarray]:

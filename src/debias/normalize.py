@@ -9,21 +9,15 @@ here are pure.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations
 
 import numpy as np
 
-from .bits import BitString, QaryString
+from .bits import BitString, QaryString, rank_bits
 from .errors import ValidationError
 
 MAX_PREIMAGE_N = 26
-
-
-def vn_pair(b1: int, b2: int) -> int | None:
-    """One von Neumann step: None for an equal pair, else the first bit."""
-    if b1 not in (0, 1) or b2 not in (0, 1):
-        raise ValidationError("vn_pair needs two bits")
-    return None if b1 == b2 else b1
+_PREIMAGE_ROWS = 1 << 10  # members built per block, which bounds the scratch
 
 
 def vn_encode(y: BitString) -> BitString:
@@ -44,43 +38,44 @@ def vn_normalize(x: BitString) -> BitString:
     return BitString.from_array(a[a != b])
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def vn_preimage(y: BitString, n: int) -> set[BitString]:
     """All length-n strings whose von Neumann output is exactly ``y``.
 
-    Each member interleaves the unequal pairs encoding y's bits with runs of
-    discarded (equal) pairs in the m+1 gaps, plus an ignored trailing bit when
-    n - 2|y| is odd.
+    A member puts y's unequal pairs (01 for 0, 10 for 1) in m = |y| of the
+    n//2 pair slots, in order, and a discarded pair (00 or 11) in each other
+    slot; for odd n either trailing bit follows.  The C(n//2, m) slot choices
+    times 2^(n//2 - m) fillings are built as uint8 matrices of about 2^10
+    rows (whole slot choices), whose rows slice one ``bytes`` buffer each.
     """
     m = len(y)
     if n > MAX_PREIMAGE_N:
         raise ValidationError(f"n = {n} exceeds the enumeration guard {MAX_PREIMAGE_N}")
     if n < 2 * m:
         raise ValidationError(f"n = {n} is too short to normalize to {m} bits")
-    pad = n - 2 * m
-    tails = ("",) if pad % 2 == 0 else ("0", "1")
-    cores = [("01" if bit == 0 else "10") for bit in y]
+    pairs, gaps = n // 2, n // 2 - m
+    slots = np.array(list(combinations(range(pairs), m)), dtype=np.intp)
+    unequal = np.zeros((len(slots), pairs), dtype=bool)
+    np.put_along_axis(unequal, slots, True, axis=1)
+    fill = rank_bits(0, 1 << gaps, gaps).T  # fill[s, j]: bit of gap s in filling j
     out = set()
-    for comp in _compositions(pad // 2, m + 1):
-        gap_choices = [list(product(("00", "11"), repeat=c)) for c in comp]
-        for gaps in product(*gap_choices):
-            parts = []
-            for i in range(m):
-                parts.append("".join(gaps[i]))
-                parts.append(cores[i])
-            parts.append("".join(gaps[m]))
-            body = "".join(parts)
-            for tail in tails:
-                out.add(BitString(body + tail))
+    step = max(1, _PREIMAGE_ROWS >> gaps)  # slot choices per block
+    for lo in range(0, len(unequal), step):
+        u = unequal[lo:lo + step]
+        # first[c, s, j]: first bit of slot s under slot choice c and filling j
+        first = np.empty((len(u), pairs, 1 << gaps), dtype=np.uint8)
+        first[u] = np.tile(y.to_array(), len(u))[:, None]
+        first[~u] = np.tile(fill, (len(u), 1))
+        body = np.empty((len(u), 1 << gaps, pairs, 2), dtype=np.uint8)
+        body[..., 0] = first.transpose(0, 2, 1)
+        body[..., 1] = body[..., 0] ^ u[:, None, :]
+        body = body.reshape(len(u) << gaps, 2 * pairs)
+        if n % 2:
+            rows = np.empty((len(body), 2, n), dtype=np.uint8)
+            rows[..., :-1] = body[:, None, :]
+            rows[..., -1] = (0, 1)
+            body = rows.reshape(2 * len(body), n)
+        buf = body.tobytes()
+        out.update(BitString._of(buf[i * n:(i + 1) * n]) for i in range(len(body)))
     return out
 
 

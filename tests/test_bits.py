@@ -4,13 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debias import (BitFormatError, BitString, QaryString, ValidationError,
-                    count_bits, parse_bits, serialize_bits)
+                    parse_bits, serialize_bits)
+from string_oracles import count_bits
 
 
 def test_count_examples():
     assert count_bits(BitString("0110"), 1) == 2
     assert count_bits(BitString(""), 0) == 0
     assert count_bits(BitString("0001"), 0) == 3
+    rng = np.random.default_rng(2)
+    for n in (0, 1, 7, 64, 1001):
+        x = BitString.from_array(rng.integers(0, 2, n, dtype=np.uint8))
+        for bit in (0, 1):
+            assert x.count(bit) == count_bits(x, bit)
+    for bad in (2, -1):
+        with pytest.raises(ValidationError):
+            BitString("01").count(bad)
 
 
 def test_count_partition():

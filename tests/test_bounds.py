@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,10 +276,16 @@ def test_naive_bound_examples():
     assert naive_alpha_for_rho(1, 0.5) == pytest.approx(1.0, abs=1e-12)
     assert naive_alpha_for_rho(2, 0.5) == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
     assert tv_bound_naive(10**6, 0.1) == math.inf
-    assert math.isfinite(naive_alpha_for_rho(1, 1e300))
+    with pytest.raises(ValidationError, match=r"rho = 1e\+300 is too large for m = 1"):
+        naive_alpha_for_rho(1, 1e300)  # finite, but alpha = 2e300 > 1
     for m, rho in ((1, 1e308), (1, 9e307), (7, 1.7e308)):  # 2 rho overflows
         with pytest.raises(ValidationError, match="rho = "):
             naive_alpha_for_rho(m, rho)
+    # alpha = 1 is the edge of the domain: (2^m - 1)/2 maps to it exactly
+    for m in (1, 2, 3, 10):
+        assert naive_alpha_for_rho(m, (2**m - 1) / 2) == 1.0
+        with pytest.raises(ValidationError, match=f"for m = {m}"):
+            naive_alpha_for_rho(m, (2**m - 1) / 2 * (1 + 1e-9))
 
 
 def test_linear_bound_examples():
@@ -292,6 +299,11 @@ def test_linear_bound_examples():
             linear_bound(3, alpha)
     with pytest.raises(ValidationError):
         linear_alpha_for_rho(2, 0.1)
+    # the inverse stays in the forward bound's domain
+    for m, rho in ((3, 5.0), (3, 1.6), (100, 5.0), (10**6, 1e300)):
+        with pytest.raises(ValidationError, match=re.escape(f"rho = {rho} is too large")):
+            linear_alpha_for_rho(m, rho)
+    assert linear_alpha_for_rho(3, 1.3) < 1.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-3])

@@ -204,6 +204,10 @@ def test_exit_codes(tmp_path, capsys):
     (["calibrate", "--method", "naive", "--m", "1", "--rho", "1e308"], "rho = 1e+308"),
     (["tv", "--method", "linear", "--m", "3", "--alpha", "1e308"], "alpha must lie in [0,1)"),
     (["tv", "--method", "linear", "--m", "3", "--alpha", "5"], "alpha must lie in [0,1)"),
+    (["calibrate", "--method", "naive", "--m", "1", "--rho", "1e300"],
+     "rho = 1e+300 is too large for m = 1"),
+    (["calibrate", "--method", "linear", "--m", "3", "--rho", "5"],
+     "rho = 5.0 is too large for m = 3"),
 ])
 def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     bits = tmp_path / "four.txt"

@@ -1,17 +1,22 @@
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import debias
 from debias import (BitString, ConstantSource, DegenerateSourceError,
                     DistributionTable, DriftParams, DriftTrace, DriftingSource,
                     MarkovSource, PairwiseSource, ValidationError,
                     check_independence, exact_source_dist, normalized_dist,
-                    pn_prob, random_markov_source, rn_prob,
-                    total_variation, uniform_dist, vn_normalize,
-                    worst_case_product_dist)
+                    random_markov_source, total_variation, uniform_dist,
+                    vn_normalize, worst_case_product_dist)
+from debias.cli import run
+from string_oracles import csv_writer_table, pn_prob, rn_prob
 
 PAIR_EX_SYM = {"00": 0.0, "01": 1 / 3, "10": 1 / 3, "11": 1 / 3}
 PAIR_EX_ASYM = {"00": 0.0, "01": 1 / 3, "10": 2 / 3, "11": 0.0}
@@ -30,6 +35,12 @@ def test_pn_prob_examples():
     assert pn_prob(BitString(""), 0.3) == 1.0
     with pytest.raises(ValidationError):
         pn_prob(BitString("01"), 1.0)
+    # the production route: one entry of the exact table
+    for p0 in (0.3, 0.5, 0.7):
+        t = exact_source_dist(ConstantSource(p0), 6)
+        for v in range(64):
+            x = BitString.from_int(v, 6)
+            assert t.prob(x) == pytest.approx(pn_prob(x, p0), rel=1e-14)
 
 
 def test_rn_prob_examples():
@@ -38,6 +49,12 @@ def test_rn_prob_examples():
     assert rn_prob(BitString(""), tr, 0.5) == 1.0
     with pytest.raises(ValidationError):
         rn_prob(BitString("011"), tr, 0.5)
+    # the production route: one entry of the exact table over the fixed trace
+    spec = DriftingSource(DriftParams(0.5, 0.2, 0.2), trajectory="fixed", trace=tr)
+    t = exact_source_dist(spec, 2)
+    for v in range(4):
+        x = BitString.from_int(v, 2)
+        assert t.prob(x) == pytest.approx(rn_prob(x, tr, 0.5), rel=1e-14)
 
 
 def test_rn_prob_pair_gap_is_step():
@@ -339,6 +356,88 @@ def test_distribution_table_csv_round_trip():
     back = DistributionTable.from_csv(buf)
     assert back.length == 1
     assert np.array_equal(back.probs, t.probs)
+
+
+def _oracle_csv(table) -> str:
+    buf = io.StringIO()
+    csv_writer_table(table, buf)
+    return buf.getvalue()
+
+
+def _csv_tables(n, rng):
+    """A smooth table, a random one and, from n = 3 up, one whose rows need
+    repr's exponent form (1e-300, 1e-05), a zero and a negative zero."""
+    yield exact_source_dist(ConstantSource(0.7), n)
+    probs = rng.dirichlet(np.ones(1 << n))
+    yield DistributionTable(n, probs)
+    if n >= 3:
+        probs[:4] = (1e-300, 1e-05, 0.0, -0.0)
+        probs[4:] *= (1.0 - 1e-05) / probs[4:].sum()
+        yield DistributionTable(n, probs)
+
+
+def test_csv_matches_csv_writer_oracle(tmp_path):
+    rng = np.random.default_rng(31)
+    for n in range(17):  # from 2^9 rows up, tables cross 2^8-row chunk seams
+        for table in _csv_tables(n, rng):
+            want = _oracle_csv(table)
+            buf = io.StringIO()
+            table.to_csv(buf)
+            assert buf.getvalue() == want, n
+            assert want.count("\r\n") == 1 << n
+    # through a path, in bytes; the oracle opens its file the same way
+    table = DistributionTable(3, [0.5, 1e-300, 1e-05, 0.0, 0.25, 0.125, 0.0625, 0.0625 - 1e-05])
+    table.to_csv(tmp_path / "new.csv")
+    csv_writer_table(table, tmp_path / "old.csv")
+    got = (tmp_path / "new.csv").read_bytes()
+    assert got == (tmp_path / "old.csv").read_bytes()
+    assert got.startswith(b"000,0.5\r\n001,1e-300\r\n010,1e-05\r\n011,0.0\r\n")
+
+
+def test_csv_chunk_seams(monkeypatch):
+    # a 5-row chunk puts seams inside every table from length 3 up
+    monkeypatch.setattr("debias.exactdist._CSV_CHUNK", 5)
+    rng = np.random.default_rng(32)
+    for n in range(8):
+        for table in _csv_tables(n, rng):
+            buf = io.StringIO()
+            table.to_csv(buf)
+            assert buf.getvalue() == _oracle_csv(table), n
+
+
+def test_csv_through_cli_stdout(capsysbinary):
+    argv = ["dist", "--source", "constant", "--p0", "0.7", "-n", "15"]
+    assert run(argv) == 0
+    want = _oracle_csv(exact_source_dist(ConstantSource(0.7), 15)).encode()
+    assert capsysbinary.readouterr().out == want
+    # a fresh interpreter's own sys.stdout writes the same bytes
+    src = os.path.dirname(os.path.dirname(debias.__file__))
+    fresh = subprocess.run(
+        [sys.executable, "-c", "from debias.cli import main; main()", *argv],
+        capture_output=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert fresh.stdout == want
+
+
+def test_csv_memory_is_per_chunk():
+    # rows are formatted a chunk at a time: 2^20 rows (an 8 MiB table and
+    # about 30 MB of text) peak below 4 MiB of new allocations
+    table = exact_source_dist(ConstantSource(0.7), 20)
+
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        table.to_csv(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 20 << 20
+    assert peak < 4 << 20
 
 
 def test_csv_lexicographic_order():

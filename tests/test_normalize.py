@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from debias import (BitString, QaryString, ValidationError, delete_symbol,
                     parity_normalize, peres_normalize, vn_encode, vn_normalize,
-                    vn_pair, vn_preimage)
+                    vn_preimage)
+from string_oracles import vn_pair
 
 
 def all_strings(n):
@@ -19,6 +22,15 @@ def test_vn_pair_table():
     assert vn_pair(0, 0) is None
     with pytest.raises(ValidationError):
         vn_pair(2, 0)
+    # the production route: vn_normalize slices a[a != b] over the pairs
+    for b1 in (0, 1):
+        for b2 in (0, 1):
+            out = vn_normalize(BitString([b1, b2]))
+            assert list(out) == ([] if vn_pair(b1, b2) is None else [vn_pair(b1, b2)])
+    rng = np.random.default_rng(6)
+    x = BitString.from_array(rng.integers(0, 2, 501, dtype=np.uint8))
+    kept = [vn_pair(x[i], x[i + 1]) for i in range(0, 500, 2)]
+    assert vn_normalize(x) == BitString([b for b in kept if b is not None])
 
 
 def test_pair_encode_inverse():
@@ -63,15 +75,38 @@ def test_vn_preimage_guards():
         vn_preimage(BitString("0"), 27)
 
 
-@pytest.mark.parametrize("n", [2, 3, 6, 9, 13, 14])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 6, 9, 13, 14])
 def test_vn_preimage_matches_brute_force(n):
     by_output = {}
     for z in all_strings(n):
         by_output.setdefault(vn_normalize(z), set()).add(z)
-    for m in range(0, n // 2 + 1):
+    for m in range(0, n // 2 + 1):  # m = 0 is the empty y
         for yv in range(1 << m):
             y = BitString.from_int(yv, m)
             assert vn_preimage(y, n) == by_output.get(y, set())
+
+
+def test_vn_preimage_block_seams(monkeypatch):
+    # blocks of at most 4 members, or one slot choice, put seams everywhere
+    monkeypatch.setattr("debias.normalize._PREIMAGE_ROWS", 4)
+    for n in (7, 10):
+        by_output = {}
+        for z in all_strings(n):
+            by_output.setdefault(vn_normalize(z), set()).add(z)
+        for y, members in by_output.items():
+            assert vn_preimage(y, n) == members
+
+
+@pytest.mark.parametrize("n, y", [(21, "101"), (21, ""), (22, "0110"),
+                                  (26, "110010011"), (26, "")])
+def test_vn_preimage_size_at_large_n(n, y):
+    # C(n//2, m) places for y's unequal pairs, 2 fillings of every other pair
+    # slot, and both trailing bits for odd n
+    y = BitString(y)
+    got = vn_preimage(y, n)
+    m = len(y)
+    assert len(got) == math.comb(n // 2, m) * 2 ** (n // 2 - m) * (1 + n % 2)
+    assert all(len(z) == n and vn_normalize(z) == y for z in got)
 
 
 def test_peres_examples():
