@@ -2,10 +2,10 @@
 distributions, drift-bound calibration, and empirical stream analysis."""
 
 from .bits import BitString, QaryString, parse_bits, serialize_bits
-from .bounds import (BinomialSpec, alpha_max, binom_pmf, binom_tv,
-                     calibrate_alpha, calibrate_delta, crossing_index,
-                     linear_alpha_for_rho, linear_bound, naive_alpha_for_rho,
-                     reg_inc_beta, tv_bound_exact, tv_bound_naive, u_value)
+from .bounds import (alpha_max, binom_tv, calibrate_alpha, calibrate_delta,
+                     crossing_index, linear_alpha_for_rho, linear_bound,
+                     naive_alpha_for_rho, reg_inc_beta, tv_bound_exact,
+                     tv_bound_naive, u_value)
 from .errors import (BitFormatError, ConvergenceError, DegenerateSourceError,
                      ValidationError)
 from .exactdist import (DistributionTable, IndependenceViolation,
@@ -19,6 +19,6 @@ from .sources import (ConstantSource, DriftingSource, DriftParams, DriftTrace,
                       MarkovSource, PairwiseSource, SourceSpec, TraceViolation,
                       adversarial_trace, sample, sample_symbols, validate_trace)
 from .stats import (BorelReport, SweepRow, borel_counts, empirical_block_dist,
-                    sweep, sweep_drift, symbol_block_counts, write_sweep_csv)
+                    sweep, symbol_block_counts, write_borel_csv, write_sweep_csv)
 
 __version__ = "0.1.0"

@@ -24,7 +24,6 @@ enumeration) are test oracles and are not part of the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, ValidationError
 from .sources import DriftParams
@@ -79,27 +78,6 @@ def _log_pmf(n: int, k: int, p: float) -> float:
     lc = (_stirlerr(n) - _stirlerr(k) - _stirlerr(nk)
           - _bd0(k, n * p) - _bd0(nk, n * (1.0 - p)))
     return lc + 0.5 * math.log(n / (2.0 * math.pi * k * nk))
-
-
-@dataclass(frozen=True)
-class BinomialSpec:
-    """n trials with success probability p."""
-
-    n: int
-    p: float
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValidationError(f"trial count must be >= 0, got {self.n}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValidationError(f"p must lie in [0,1], got {self.p}")
-
-
-def binom_pmf(spec: BinomialSpec, k: int) -> float:
-    """P(X = k); computed in log space, stable up to n ~ 10**6."""
-    if not 0 <= k <= spec.n:
-        raise ValidationError(f"k = {k} out of range [0, {spec.n}]")
-    return math.exp(_log_pmf(spec.n, k, spec.p))
 
 
 def _betacf(a: float, b: float, x: float, cap: int = 500, tol: float = 1e-14) -> float:

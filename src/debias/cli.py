@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
 
@@ -20,7 +19,8 @@ import numpy as np
 from . import bounds, markov, normalize, sources, stats
 from .bits import parse_bits, serialize_bits
 from .errors import ConvergenceError, ValidationError
-from .exactdist import exact_source_dist, normalized_dist, total_variation, uniform_dist
+from .exactdist import (MAX_ENUM_N, DistributionTable, exact_source_dist, normalized_dist,
+                        total_variation, uniform_dist)
 
 DEFAULT_SEED = 271828  # fixed default so runs are reproducible without flags
 
@@ -101,31 +101,27 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    """Block counts for m = 1..--max-m in --mode, each followed by the TV of
+    the disjoint m-blocks' frequencies to uniform (whatever the mode); the
+    CSV holds every report under one header.  All counting is done before
+    the CSV is written and before anything is printed."""
     bits = _read_bits(args.input, args.format)
-    if not 1 <= args.max_m <= len(bits):
+    limit = min(len(bits), MAX_ENUM_N)
+    if not 1 <= args.max_m <= limit:
         raise ValidationError(
-            f"--max-m must lie in [1, {len(bits)}] (the input length), got {args.max_m}")
-    out = open(args.csv, "w", newline="") if args.csv else None
-    try:
-        writer = csv.writer(out) if out else None
-        if writer:
-            writer.writerow(["m", "mode", "block", "count", "expected",
-                             "deviation_sigma"])
-        for m in range(1, args.max_m + 1):
-            report = stats.borel_counts(bits, m, args.mode)
-            print(report.format_table())
-            emp = stats.empirical_block_dist(bits, m)
-            tv = total_variation(emp, uniform_dist(m))
-            print(f"m={m} empirical TV to uniform: {_fmt(tv)}")
-            if m == 1:
-                print(f"ones frequency: {_fmt(bits.count(1) / len(bits))}")
-            if writer:
-                for block, count, expected, dev in report.rows():
-                    writer.writerow([m, report.mode, block, count,
-                                     repr(expected), repr(dev)])
-    finally:
-        if out:
-            out.close()
+            f"--max-m must lie in [1, {limit}] (the input length, and at most "
+            f"MAX_ENUM_N = {MAX_ENUM_N}), got {args.max_m}")
+    reports = [stats.borel_counts(bits, m, args.mode) for m in range(1, args.max_m + 1)]
+    if args.csv:
+        stats.write_borel_csv(reports, args.csv)
+    for r in reports:
+        disjoint = r if r.mode == "non-overlapping" else stats.borel_counts(bits, r.m)
+        emp = DistributionTable(r.m, disjoint.counts / disjoint.total)
+        tv = total_variation(emp, uniform_dist(r.m))
+        print(r.format_table())
+        print(f"m={r.m} empirical TV to uniform: {_fmt(tv)}")
+        if r.m == 1:
+            print(f"ones frequency: {_fmt(bits.count(1) / len(bits))}")
     return 0
 
 

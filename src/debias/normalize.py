@@ -15,8 +15,8 @@ import numpy as np
 
 from .bits import BitString, QaryString, rank_bits
 from .errors import ValidationError
+from .exactdist import _check_enum_guard
 
-MAX_PREIMAGE_N = 26
 _PREIMAGE_ROWS = 1 << 10  # members built per block, which bounds the scratch
 
 
@@ -48,8 +48,7 @@ def vn_preimage(y: BitString, n: int) -> set[BitString]:
     rows (whole slot choices), whose rows slice one ``bytes`` buffer each.
     """
     m = len(y)
-    if n > MAX_PREIMAGE_N:
-        raise ValidationError(f"n = {n} exceeds the enumeration guard {MAX_PREIMAGE_N}")
+    _check_enum_guard(n)
     if n < 2 * m:
         raise ValidationError(f"n = {n} is too short to normalize to {m} bits")
     pairs, gaps = n // 2, n // 2 - m

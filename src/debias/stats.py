@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitString, QaryString, format_bits
-from .bounds import alpha_max, linear_bound, tv_bound_exact, tv_bound_naive
+from .bounds import linear_bound, tv_bound_exact, tv_bound_naive
 from .errors import ValidationError
-from .exactdist import DistributionTable
+from .exactdist import DistributionTable, _check_enum_guard
 
 MODES = ("non-overlapping", "overlapping")
 
@@ -60,16 +60,6 @@ class BorelReport:
             lines.append(f"{block:>8} {count:>12} {expected:>14.2f} {dev:>+11.3f}")
         return "\n".join(lines)
 
-    def to_csv(self, file) -> None:
-        if not hasattr(file, "write"):
-            with open(file, "w", newline="") as f:
-                self.to_csv(f)
-            return
-        w = csv.writer(file)
-        w.writerow(["m", "mode", "block", "count", "expected", "deviation_sigma"])
-        for block, count, expected, dev in self.rows():
-            w.writerow([self.m, self.mode, block, count, repr(expected), repr(dev)])
-
 
 def _window_values(arr: np.ndarray, m: int, mode: str) -> np.ndarray:
     if mode == "non-overlapping":
@@ -87,9 +77,11 @@ def _window_values(arr: np.ndarray, m: int, mode: str) -> np.ndarray:
 
 
 def borel_counts(x: BitString, m: int, mode: str = "non-overlapping") -> BorelReport:
-    """Count every m-bit block of x, disjointly or in a sliding window."""
+    """Count every m-bit block of x, disjointly or in a sliding window;
+    m <= MAX_ENUM_N, the size limit of a dense table over m-bit strings."""
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
+    _check_enum_guard(m, "m")
     if len(x) < m:
         raise ValidationError(f"input has {len(x)} bits, need at least {m}")
     vals = _window_values(x.to_array(), m, mode)
@@ -143,21 +135,28 @@ def sweep(ms, alphas) -> list[SweepRow]:
     return rows
 
 
-def sweep_drift(ms, drift_grid) -> list[SweepRow]:
-    """Like :func:`sweep` but over (p0, beta, delta) triples, each mapped to
-    its worst-case asymmetry first."""
-    alphas = [alpha_max(p0, beta, delta) for (p0, beta, delta) in drift_grid]
-    return sweep(ms, alphas)
+def _write_csv(file, header, rows) -> None:
+    """One header, then the rows, through ``csv.writer`` (CRLF line ends);
+    ``file`` is a path or an open text file."""
+    if not hasattr(file, "write"):
+        with open(file, "w", newline="") as f:
+            _write_csv(f, header, rows)
+        return
+    w = csv.writer(file)
+    w.writerow(header)
+    w.writerows(rows)
 
 
 def write_sweep_csv(rows, file) -> None:
     """CSV rows ``m,alpha,tv_exact,tv_linear,tv_naive``."""
-    if not hasattr(file, "write"):
-        with open(file, "w", newline="") as f:
-            write_sweep_csv(rows, f)
-        return
-    w = csv.writer(file)
-    w.writerow(["m", "alpha", "tv_exact", "tv_linear", "tv_naive"])
-    for r in rows:
-        w.writerow([r.m, repr(r.alpha), repr(r.tv_exact), repr(r.tv_linear),
-                    repr(r.tv_naive)])
+    _write_csv(file, ["m", "alpha", "tv_exact", "tv_linear", "tv_naive"],
+               ([r.m, repr(r.alpha), repr(r.tv_exact), repr(r.tv_linear),
+                 repr(r.tv_naive)] for r in rows))
+
+
+def write_borel_csv(reports, file) -> None:
+    """CSV rows ``m,mode,block,count,expected,deviation_sigma``: one header,
+    then every block of each report in turn, floats as their ``repr``."""
+    _write_csv(file, ["m", "mode", "block", "count", "expected", "deviation_sigma"],
+               ([r.m, r.mode, block, count, repr(expected), repr(dev)]
+                for r in reports for block, count, expected, dev in r.rows()))

@@ -5,16 +5,19 @@ the array-and-mask form of the saddle-point expansion (Loader 2000), kept as a
 reference for the scalar ``debias.bounds._log_pmf``; the tail sums, half sums,
 grid search and sign-pattern enumeration built on it check the continued
 fraction, the crossing-index TV formula, ``alpha_max`` and the flat region of
-the deviation sum.  The plain bisection is the float that
-``debias.calibrate_alpha`` must return.
+the deviation sum.  ``binom_pmf`` exposes the scalar ``_log_pmf`` for direct
+checks.  The plain bisection is the float that ``debias.calibrate_alpha``
+must return.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import product as _iproduct
 
 import numpy as np
 
-from debias import BinomialSpec, DriftParams, ValidationError, tv_bound_exact
+from debias import DriftParams, ValidationError, tv_bound_exact
+from debias.bounds import _log_pmf
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -90,6 +93,27 @@ def _log_pmf_many(n: int, ks: np.ndarray, p: float) -> np.ndarray:
               - _bd0(k, n * p) - _bd0(nk, n * (1.0 - p)))
         out[mid] = lc + 0.5 * np.log(n / (2.0 * math.pi * k * nk))
     return out
+
+
+@dataclass(frozen=True)
+class BinomialSpec:
+    """n trials with success probability p."""
+
+    n: int
+    p: float
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValidationError(f"trial count must be >= 0, got {self.n}")
+        if not 0.0 <= self.p <= 1.0:
+            raise ValidationError(f"p must lie in [0,1], got {self.p}")
+
+
+def binom_pmf(spec: BinomialSpec, k: int) -> float:
+    """P(X = k) from the package's scalar saddle-point log-pmf."""
+    if not 0 <= k <= spec.n:
+        raise ValidationError(f"k = {k} out of range [0, {spec.n}]")
+    return math.exp(_log_pmf(spec.n, k, spec.p))
 
 
 def binom_cdf(spec: BinomialSpec, k: int) -> float:

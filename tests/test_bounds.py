@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.special import betainc as scipy_betainc
 
-from bound_oracles import (_log_pmf_many, binom_cdf, binom_tv_halfsum,
-                           calibrate_alpha_bisection, product_deviation_sum,
-                           reg_inc_beta_via_binomial, u_max_oracle)
-from debias import (BinomialSpec, ConvergenceError, ValidationError, alpha_max,
-                    binom_pmf, binom_tv, calibrate_alpha, calibrate_delta,
+from bound_oracles import (BinomialSpec, _log_pmf_many, binom_cdf, binom_pmf,
+                           binom_tv_halfsum, calibrate_alpha_bisection,
+                           product_deviation_sum, reg_inc_beta_via_binomial,
+                           u_max_oracle)
+from debias import (ConvergenceError, ValidationError, alpha_max,
+                    binom_tv, calibrate_alpha, calibrate_delta,
                     crossing_index, linear_alpha_for_rho, linear_bound,
                     naive_alpha_for_rho, reg_inc_beta, tv_bound_exact,
                     tv_bound_naive, u_value)

@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from debias import (BitString, ConstantSource, bounds, cli, normalized_dist,
-                    parity_normalize, parse_bits, peres_normalize, sample,
-                    serialize_bits, tv_bound_exact, vn_normalize)
+from debias import (BitString, ConstantSource, borel_counts, bounds, cli,
+                    empirical_block_dist, normalized_dist, parity_normalize,
+                    parse_bits, peres_normalize, sample, serialize_bits,
+                    total_variation, tv_bound_exact, uniform_dist,
+                    vn_normalize, write_borel_csv)
 from debias.cli import DEFAULT_SEED, build_parser, run
 
 
@@ -132,6 +134,40 @@ def test_analyze_reports(tmp_path, capsys):
     lines = csv_out.read_text().strip().splitlines()
     assert lines[0] == "m,mode,block,count,expected,deviation_sigma"
     assert len(lines) == 1 + 2 + 4
+
+
+def test_analyze_overlapping_merged_route(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    bits = BitString.from_array(rng.integers(0, 2, 301, dtype=np.uint8))
+    assert (borel_counts(bits, 2, "overlapping").counts.tolist()
+            != borel_counts(bits, 2).counts.tolist())
+    src = tmp_path / "in.txt"
+    src.write_bytes(serialize_bits(bits, "ascii"))
+    csv_out = tmp_path / "report.csv"
+    assert run(["analyze", "-i", str(src), "--mode", "overlapping", "--max-m", "3",
+                "--csv", str(csv_out)]) == 0
+    out = capsys.readouterr().out
+    # the TV line is the disjoint blocks' distance, whatever the mode
+    for m in (1, 2, 3):
+        tv = total_variation(empirical_block_dist(bits, m), uniform_dist(m))
+        assert f"m={m} empirical TV to uniform: {tv:.12g}\n" in out
+        assert f"m={m}, mode=overlapping, windows={301 - m + 1}\n" in out
+    want = tmp_path / "want.csv"
+    write_borel_csv([borel_counts(bits, m, "overlapping") for m in (1, 2, 3)], want)
+    assert csv_out.read_bytes() == want.read_bytes()
+    lines = csv_out.read_bytes().split(b"\r\n")
+    assert lines.count(b"m,mode,block,count,expected,deviation_sigma") == 1
+    assert len(lines) == 1 + 2 + 4 + 8 + 1 and lines[-1] == b""
+
+
+def test_analyze_max_m_above_table_limit(tmp_path, capsys):
+    src = tmp_path / "forty.txt"
+    src.write_text("0110" * 10)
+    csv_out = tmp_path / "report.csv"
+    assert run(["analyze", "-i", str(src), "--max-m", "27", "--csv", str(csv_out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not csv_out.exists()
+    assert "[1, 26]" in captured.err and "MAX_ENUM_N = 26" in captured.err
 
 
 def test_pipeline_million_bits(tmp_path, capsys):

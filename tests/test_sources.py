@@ -177,6 +177,19 @@ def test_pairwise_frequencies():
             assert abs((sel == val).mean() - p) <= 4 * sigma + 1e-9
 
 
+@pytest.mark.parametrize("seed", [1, 7, 2024])
+def test_draw_equal_to_threshold_goes_up(seed):
+    # a bit (or pair value) moves past a cumulative weight when the uniform
+    # draw is >= it: a draw exactly on the threshold must land above it
+    u0 = np.random.default_rng(seed).random()
+    w = (1.0 - u0) / 3.0
+    pair = PairwiseSource([{"00": u0, "01": w, "10": w, "11": w}])
+    assert sample(pair, 2, seed)[0] == BitString("01")
+    assert sample(ConstantSource(u0), 1, seed)[0] == BitString("1")
+    markov = MarkovSource(0, 0.0, u0, {"": u0})
+    assert sample(markov, 1, seed)[0] == BitString("1")
+
+
 def test_pairwise_odd_length_rejected():
     spec = PairwiseSource([{"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}])
     with pytest.raises(ValidationError):

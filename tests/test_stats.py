@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from debias import (BitString, QaryString, ValidationError, borel_counts,
-                    empirical_block_dist, sweep, sweep_drift,
-                    symbol_block_counts, tv_bound_exact, uniform_dist,
+                    empirical_block_dist, sweep, symbol_block_counts,
+                    tv_bound_exact, uniform_dist, write_borel_csv,
                     write_sweep_csv)
 from debias.bounds import alpha_max, linear_bound, tv_bound_naive
 
@@ -37,6 +37,12 @@ def test_borel_guards():
         borel_counts(BitString("0110"), 0)
     with pytest.raises(ValidationError):
         borel_counts(BitString("0110"), 2, "diagonal")
+    # a 2^m-entry count table is refused above the enumeration limit, before
+    # bincount is asked for 2^27 (or, at m = 64, an overflowing 2^64) entries
+    x = BitString("01" * 40)
+    for m in (27, 40, 64):
+        with pytest.raises(ValidationError, match="enumeration guard 26"):
+            borel_counts(x, m)
 
 
 def test_borel_report_deviations():
@@ -48,7 +54,7 @@ def test_borel_report_deviations():
     table = r.format_table()
     assert "block" in table and "0" in table
     buf = io.StringIO()
-    r.to_csv(buf)
+    write_borel_csv([r], buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "m,mode,block,count,expected,deviation_sigma"
     assert len(lines) == 3
@@ -85,6 +91,11 @@ def test_sweep_rows():
     for m in (2, 100):
         vals = [by_key[(m, a)].tv_exact for a in (0.0, 0.1, 0.2)]
         assert vals == sorted(vals)
+
+
+def sweep_drift(ms, drift_grid):
+    """``sweep`` over the worst-case asymmetry of each (p0, beta, delta)."""
+    return sweep(ms, [alpha_max(p0, beta, delta) for p0, beta, delta in drift_grid])
 
 
 def test_sweep_drift_maps_alpha():
