@@ -29,6 +29,7 @@ from .errors import ConvergenceError, ValidationError
 from .sources import DriftParams
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_CALIBRATE_TOL = 1e-10  # width of calibrate_alpha's final bisection bracket
 
 # exact Stirling-series remainders log n! - ((n+1/2)log n - n + log sqrt(2 pi))
 # for n = 1..15; index 0 unused
@@ -252,21 +253,21 @@ def _tv_slope(m: int, alpha: float) -> float:
     return 0.5 * m * math.exp(_log_pmf(m - 1, ell - 1, 0.5 + 0.5 * alpha))
 
 
-def calibrate_alpha(m: int, rho: float, tol: float = 1e-10) -> float:
+def calibrate_alpha(m: int, rho: float) -> float:
     """Largest alpha whose exact worst-case bound stays within rho: the float
     that bisection on the (monotone) exact bound from (0, 1 - 1e-9) returns.
 
     Safeguarded Newton steps on the closed-form slope (``rtsafe``) close an
-    evaluated bracket a < b, tv(a) <= rho < tv(b), to width tol/16; the
-    bisection's midpoints are then replayed, and only one strictly inside
-    (a, b) is evaluated.
+    evaluated bracket a < b, tv(a) <= rho < tv(b), to width 1/16 of the
+    bisection's final width ``_CALIBRATE_TOL``; the bisection's midpoints are
+    then replayed, and only one strictly inside (a, b) is evaluated.
     """
     if not 0.0 < rho < 1.0:
         raise ValidationError(f"rho must lie in (0,1), got {rho}")
     hi = 1.0 - 1e-9
     if tv_bound_exact(m, hi) <= rho:
         return hi
-    w = tol / 16.0
+    w = _CALIBRATE_TOL / 16.0
     a, b = 0.0, hi
     x, fx = 0.0, -rho  # tv(0) = 0: the first step needs no evaluation
     last = before = hi  # the last two steps
@@ -285,7 +286,7 @@ def calibrate_alpha(m: int, rho: float, tol: float = 1e-10) -> float:
         else:
             b = x
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > _CALIBRATE_TOL:
         mid = 0.5 * (lo + hi)
         if mid <= a or (mid < b and tv_bound_exact(m, mid) <= rho):
             lo = mid

@@ -22,6 +22,7 @@ from .sources import (ConstantSource, DriftingSource, MarkovSource, PairwiseSour
 
 MAX_ENUM_N = 26
 _CSV_CHUNK = 1 << 8  # rows per write; larger chunks fragmented the heap and raised peak RSS
+_INDEPENDENCE_TOL = 1e-12  # absolute slack of check_independence
 
 
 def _check_enum_guard(n: int, what: str = "n") -> None:
@@ -156,10 +157,6 @@ def _pair_masses(spec: SourceSpec, n: int) -> tuple[int, np.ndarray]:
     if isinstance(spec, ConstantSource):
         zero = np.full((n, 1), spec.p0)
     elif isinstance(spec, DriftingSource):
-        if spec.trajectory == "walk":
-            raise ValidationError(
-                "walk trajectory has no deterministic trace; use sine, fixed, or "
-                "adversarial (or fix the realized trace of a sampled run)")
         zero = (spec.params.p0 - spec.realized_trace(n).epsilons)[:, None]
     elif isinstance(spec, MarkovSource):
         k = spec.k
@@ -253,9 +250,9 @@ class IndependenceViolation:
                 f"P(head)*P(bit) = {self.rhs!r}")
 
 
-def check_independence(table: DistributionTable, tol: float = 1e-12):
+def check_independence(table: DistributionTable):
     """None if every prefix event factors through the per-position bit
-    marginals (within tol); otherwise the first violation found.
+    marginals (within ``_INDEPENDENCE_TOL``); otherwise the first violation.
 
     Scans k = 1..n and every k-bit prefix, comparing P(prefix) against
     P(prefix[:-1]) times the position-k bit marginal.
@@ -269,7 +266,7 @@ def check_independence(table: DistributionTable, tol: float = 1e-12):
         cur = probs.reshape(1 << k, -1).sum(axis=1)
         marg = probs.reshape(1 << (k - 1), 2, -1).sum(axis=(0, 2))
         rhs = np.repeat(prev, 2) * np.tile(marg, 1 << (k - 1))
-        bad = np.abs(cur - rhs) > tol
+        bad = np.abs(cur - rhs) > _INDEPENDENCE_TOL
         if bad.any():
             i = int(np.argmax(bad))
             return IndependenceViolation(k, format_bits(i, k), float(cur[i]), float(rhs[i]))

@@ -11,7 +11,6 @@ the source's pair masses whenever n <= 26 and k + m + 1 <= 26.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -22,6 +21,7 @@ from .errors import ValidationError
 from .exactdist import (MAX_ENUM_N, DistributionTable, normalized_dist,
                         total_variation, uniform_dist)
 from .sources import MarkovSource, check_markov_k
+from .stats import _write_csv
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,6 @@ def run_markov_experiment(exp: MarkovExperiment) -> MarkovResult:
 
 def write_markov_csv(results, file) -> None:
     """CSV rows ``k,kappa,m,n,tv_exact,tv_empirical,samples,seed``."""
-    if not hasattr(file, "write"):
-        with open(file, "w", newline="") as f:
-            write_markov_csv(results, f)
-        return
-    w = csv.writer(file)
-    w.writerow(["k", "kappa", "m", "n", "tv_exact", "tv_empirical", "samples", "seed"])
-    for r in results:
-        w.writerow([r.k, repr(r.kappa), r.m, r.n,
-                    "" if r.tv_exact is None else repr(r.tv_exact),
-                    repr(r.tv_empirical), r.samples, r.seed])
+    _write_csv(file, ["k", "kappa", "m", "n", "tv_exact", "tv_empirical", "samples", "seed"],
+               ([r.k, repr(r.kappa), r.m, r.n, "" if r.tv_exact is None else repr(r.tv_exact),
+                 repr(r.tv_empirical), r.samples, r.seed] for r in results))

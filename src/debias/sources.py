@@ -41,6 +41,27 @@ def check_markov_k(k: int) -> None:
             f"memory length k must lie in [0, MAX_MARKOV_K = {MAX_MARKOV_K}], got {k}")
 
 
+def _records(path, width: int):
+    """``(lineno, fields)`` for each line of a parameter file that is neither
+    blank nor a ``#`` comment; every such line has ``width`` fields."""
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            if len(fields) != width:
+                raise ValidationError(
+                    f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
+            yield lineno, fields
+
+
+def _number(path, lineno: int, text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(f"{path}: line {lineno}: not {what}: {text!r}") from None
+
+
 @dataclass(frozen=True)
 class DriftParams:
     """Base zero-probability p0 with drift amplitude bound beta and speed bound delta."""
@@ -52,7 +73,7 @@ class DriftParams:
     def __post_init__(self):
         if not 0.0 < self.p0 < 1.0:
             raise ValidationError(f"p0 must lie in (0,1), got {self.p0}")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:  # NaN fails too
             raise ValidationError(f"beta must be >= 0, got {self.beta}")
         if self.beta >= min(self.p0, self.p1):
             raise ValidationError(
@@ -106,18 +127,8 @@ class DriftTrace:
 
     @classmethod
     def load(cls, path) -> "DriftTrace":
-        with open(path) as f:
-            values = []
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    values.append(float(line))
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: line {lineno}: not a decimal offset: {line!r}") from None
-        return cls(values)
+        """Read one decimal offset per line; blank and ``#`` lines are skipped."""
+        return cls([_number(path, i, f[0], "a decimal offset") for i, f in _records(path, 1)])
 
 
 @dataclass(frozen=True)
@@ -215,11 +226,12 @@ class DriftingSource:
             if bad is not None:
                 raise ValidationError(f"fixed trace invalid: {bad}")
 
-    def realized_trace(self, n: int, seed: int | None = None) -> DriftTrace:
-        """The eps-sequence this source uses for an n-bit run.
-
-        Deterministic for sine/fixed/adversarial; the walk needs a seed.
-        """
+    def realized_trace(self, n: int) -> DriftTrace:
+        """The eps-sequence of an n-bit run of a deterministic trajectory
+        (sine, fixed or adversarial); a walk's trace comes from :func:`sample`."""
+        if self.trajectory == "walk":
+            raise ValidationError("walk trajectory has no deterministic trace; use sine, fixed, "
+                                  "or adversarial (or fix the realized trace of a sampled run)")
         if self.trajectory == "fixed":
             if len(self.trace) < n:
                 raise ValidationError(
@@ -227,13 +239,8 @@ class DriftingSource:
             return self.trace[:n]
         if self.trajectory == "adversarial":
             return adversarial_trace(self.params, n)
-        if self.trajectory == "sine":
-            i = np.arange(1, n + 1, dtype=np.float64)
-            return DriftTrace(self.params.beta * np.sin(2.0 * math.pi * i / self.period))
-        if seed is None:
-            raise ValidationError("walk trajectory needs a seed to realize a trace")
-        rng = np.random.default_rng(seed)
-        return self._walk(n, rng)
+        i = np.arange(1, n + 1, dtype=np.float64)
+        return DriftTrace(self.params.beta * np.sin(2.0 * math.pi * i / self.period))
 
     def _walk(self, n: int, rng) -> DriftTrace:
         """eps_1 = 0, then eps_{i+1} = min(beta, max(-beta, eps_i + step_i))
@@ -309,7 +316,7 @@ class MarkovSource:
     def __post_init__(self):
         object.__setattr__(self, "table", dict(self.table))
         check_markov_k(self.k)
-        if self.kappa < 0.0:
+        if not self.kappa >= 0.0:  # NaN fails too
             raise ValidationError(f"kappa must be >= 0, got {self.kappa}")
         if not 0.0 < self.p0 < 1.0:
             raise ValidationError(f"p0 must lie in (0,1), got {self.p0}")
@@ -355,10 +362,10 @@ class PairwiseSource:
             if set(d) != set(PAIR_KEYS):
                 raise ValidationError(
                     f"pair distribution {i} must have exactly the keys {PAIR_KEYS}")
-            if any(v < 0.0 for v in d.values()):
-                raise ValidationError(f"pair distribution {i} has a negative weight")
+            if any(not v >= 0.0 for v in d.values()):  # NaN fails too
+                raise ValidationError(f"pair distribution {i} has a negative or NaN weight")
             total = math.fsum(d.values())
-            if abs(total - 1.0) > 1e-12:
+            if not abs(total - 1.0) <= 1e-12:
                 raise ValidationError(
                     f"pair distribution {i} sums to {total!r}, expected 1")
         object.__setattr__(self, "pair_dists", dists)
@@ -474,7 +481,7 @@ def sample_symbols(probs, n: int, seed: int) -> QaryString:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or len(p) < 2:
         raise ValidationError("need at least two symbol probabilities")
-    if (p < 0).any() or abs(p.sum() - 1.0) > 1e-12:
+    if not (p >= 0.0).all() or not abs(p.sum() - 1.0) <= 1e-12:  # NaN fails too
         raise ValidationError("symbol probabilities must be nonnegative and sum to 1")
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
@@ -490,25 +497,13 @@ def load_markov_table(path, k: int) -> dict:
     For k = 0 the history field is the placeholder '-'.
     """
     table = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected 'history p0', got {line!r}")
-            hist = "" if parts[0] == "-" else parts[0]
-            try:
-                p = float(parts[1])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: line {lineno}: not a probability: {parts[1]!r}") from None
-            if len(hist) != k or any(c not in "01" for c in hist):
-                raise ValidationError(
-                    f"{path}: line {lineno}: history {parts[0]!r} is not a {k}-bit string")
-            table[hist] = p
+    for lineno, (field, p) in _records(path, 2):
+        p = _number(path, lineno, p, "a probability")
+        hist = "" if field == "-" else field
+        if len(hist) != k or any(c not in "01" for c in hist):
+            raise ValidationError(
+                f"{path}: line {lineno}: history {field!r} is not a {k}-bit string")
+        table[hist] = p
     return table
 
 
@@ -521,19 +516,5 @@ def save_markov_table(table: Mapping[str, float], path) -> None:
 def load_pair_dists(path) -> list:
     """Read pair distributions: one line per pair slot, four weights in
     00 01 10 11 order."""
-    dists = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected four weights, got {len(parts)}")
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                raise ValidationError(f"{path}: line {lineno}: bad weight") from None
-            dists.append(dict(zip(PAIR_KEYS, vals)))
-    return dists
+    return [dict(zip(PAIR_KEYS, (_number(path, lineno, v, "a weight") for v in fields)))
+            for lineno, fields in _records(path, 4)]

@@ -61,19 +61,16 @@ class BorelReport:
         return "\n".join(lines)
 
 
-def _window_values(arr: np.ndarray, m: int, mode: str) -> np.ndarray:
-    if mode == "non-overlapping":
-        k = len(arr) // m
-        blocks = arr[: k * m].reshape(k, m).astype(np.int64)
-        weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-        return blocks @ weights
-    if mode == "overlapping":
-        k = len(arr) - m + 1
-        vals = arr[:k].astype(np.int64)
-        for j in range(1, m):
-            vals = (vals << 1) | arr[j : j + k]
-        return vals
-    raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+def _block_values(codes: np.ndarray, m: int, q: int, step: int) -> np.ndarray:
+    """Base-q value, first symbol most significant, of each m-symbol block
+    starting at 0, step, 2 step, ... (step = m: disjoint blocks; step = 1:
+    sliding windows), by an in-place Horner pass over strided slices."""
+    stop = (len(codes) - m) // step * step + 1  # one past the last block start
+    vals = codes[:stop:step].astype(np.int64)
+    for j in range(1, m):
+        vals *= q
+        vals += codes[j:j + stop:step]
+    return vals
 
 
 def borel_counts(x: BitString, m: int, mode: str = "non-overlapping") -> BorelReport:
@@ -84,7 +81,9 @@ def borel_counts(x: BitString, m: int, mode: str = "non-overlapping") -> BorelRe
     _check_enum_guard(m, "m")
     if len(x) < m:
         raise ValidationError(f"input has {len(x)} bits, need at least {m}")
-    vals = _window_values(x.to_array(), m, mode)
+    if mode not in MODES:
+        raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+    vals = _block_values(x.to_array(), m, 2, m if mode == "non-overlapping" else 1)
     counts = np.bincount(vals, minlength=1 << m)
     return BorelReport(m=m, mode=mode, total=len(vals), counts=counts)
 
@@ -102,10 +101,7 @@ def symbol_block_counts(x: QaryString, m: int) -> np.ndarray:
         raise ValidationError(f"m must be >= 1, got {m}")
     if len(x) < m:
         raise ValidationError(f"input has {len(x)} symbols, need at least {m}")
-    k = len(x) // m
-    blocks = x.symbols[: k * m].reshape(k, m)
-    weights = x.q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return np.bincount(blocks @ weights, minlength=x.q ** m)
+    return np.bincount(_block_values(x.symbols, m, x.q, m), minlength=x.q ** m)
 
 
 @dataclass(frozen=True)

@@ -244,16 +244,27 @@ def test_exit_codes(tmp_path, capsys):
      "rho = 1e+300 is too large for m = 1"),
     (["calibrate", "--method", "linear", "--m", "3", "--rho", "5"],
      "rho = 5.0 is too large for m = 3"),
+    (["generate", "--source", "pairwise", "--pairs", "{pairs}", "-n", "8", "-o", "{out}"],
+     "negative or NaN weight"),
 ])
 def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     bits = tmp_path / "four.txt"
     bits.write_text("0110")
+    pairs = tmp_path / "nan.pairs"
+    pairs.write_text("nan 0.5 0.5 0\n")
     out = tmp_path / "out.csv"  # the file no failing command may create
-    argv = [a.format(bits=bits, out=out) for a in argv]
+    argv = [a.format(bits=bits, pairs=pairs, out=out) for a in argv]
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and needle in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def test_module_runs_as_script():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-m", "debias.cli", "tv", "--m", "2", "--alpha", "0.2"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0.11\n", "")
 
 
 def test_parser_built_once_and_dispatch_late_bound(monkeypatch, capsys):

@@ -6,7 +6,8 @@ from debias import (BitString, ConstantSource, DriftParams, DriftTrace,
                     ValidationError, adversarial_trace, sample, sample_symbols,
                     validate_trace)
 from debias.sources import _BLOCK as BLOCK
-from debias.sources import load_markov_table, load_pair_dists, save_markov_table
+from debias.sources import (PAIR_KEYS, load_markov_table, load_pair_dists,
+                            save_markov_table)
 
 
 def test_drift_params_invariants():
@@ -241,6 +242,48 @@ def test_pair_dist_file(tmp_path):
         load_pair_dists(tmp_path / "bad.txt")
 
 
+@pytest.mark.parametrize("load, body, want, bad_lines", [
+    (DriftTrace.load, "0.01\n-0.02\n", DriftTrace([0.01, -0.02]),
+     [("0.01 0.02", "expected 1 fields, got 2"), ("nope", "not a decimal offset: 'nope'")]),
+    (lambda path: load_markov_table(path, 1), "0 0.52\n1 0.48\n", {"0": 0.52, "1": 0.48},
+     [("0 0.5 0.5", "expected 2 fields, got 3"), ("0 x", "not a probability: 'x'"),
+      ("01 0.5", "history '01' is not a 1-bit string")]),
+    (load_pair_dists, "0 0.5 0.5 0\n", [dict(zip(PAIR_KEYS, (0.0, 0.5, 0.5, 0.0)))],
+     [("0.5 0.5", "expected 4 fields, got 2"), ("0 0.5 0.5 y", "not a weight: 'y'")]),
+])
+def test_parameter_files_skip_comments_and_name_bad_lines(tmp_path, load, body, want,
+                                                          bad_lines):
+    path = tmp_path / "params.txt"
+    # comments and blank lines before, between and after the records
+    first, rest = body.split("\n", 1)
+    path.write_text(f"# header\n\n  \t\n{first}\n   # indented note\n\n{rest}\n#\n")
+    assert load(path) == want
+    for line, needle in bad_lines:
+        path.write_text(f"# header\n\n{body}{line}\n")
+        with pytest.raises(ValidationError) as exc:
+            load(path)
+        lineno = 3 + body.count("\n")
+        assert str(exc.value) == f"{path}: line {lineno}: {needle}"
+
+
+def test_nan_weights_rejected():
+    nan = float("nan")
+    with pytest.raises(ValidationError, match="negative or NaN weight"):
+        PairwiseSource([{"00": nan, "01": 0.5, "10": 0.5, "11": 0.0}])
+    with pytest.raises(ValidationError, match="nonnegative and sum to 1"):
+        sample_symbols([nan, nan], 5, seed=1)
+    with pytest.raises(ValidationError, match="kappa must be >= 0"):
+        MarkovSource(1, nan, 0.5, {"0": 0.01, "1": 0.99})
+    with pytest.raises(ValidationError, match="beta must be >= 0"):
+        DriftParams(0.5, nan, 0.0)
+
+
+def test_walk_has_no_realized_trace():
+    spec = DriftingSource(DriftParams(0.55, 0.05, 0.01), trajectory="walk")
+    with pytest.raises(ValidationError, match="walk trajectory has no deterministic trace"):
+        spec.realized_trace(10)
+
+
 # The loops below are the sequential routes that `sample` used before its
 # block-parallel ones, kept verbatim as oracles: output must match byte for
 # byte, walk trace included.
@@ -344,7 +387,7 @@ def test_pairwise_matches_tiled_oracle():
 def test_trace_save_writes_one_repr_per_line(tmp_path):
     # more offsets than one write chunk, so the chunk seam is covered
     spec = DriftingSource(DriftParams(0.55, 0.05, 0.01), trajectory="walk")
-    trace = spec.realized_trace(70_000, seed=8)
+    _, trace = sample(spec, 70_000, seed=8)
     trace.save(tmp_path / "t.txt")
     want = "".join(f"{float(e)!r}\n" for e in trace.epsilons)
     assert (tmp_path / "t.txt").read_text() == want

@@ -78,6 +78,35 @@ def test_symbol_block_counts():
     assert counts.sum() == 2
 
 
+@pytest.mark.parametrize("m", range(1, 11))
+def test_borel_counts_match_per_window_count(m):
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        n = m * int(rng.integers(1, 60)) + (int(rng.integers(1, m)) if m > 1 else 0)
+        arr = (rng.random(n) >= rng.uniform(0.2, 0.8)).astype(np.uint8)
+        s = "".join(map(str, arr.tolist()))
+        for mode, step in (("non-overlapping", m), ("overlapping", 1)):
+            want = np.zeros(1 << m, dtype=np.int64)
+            for i in range(0, n - m + 1, step):
+                want[int(s[i:i + m], 2)] += 1
+            r = borel_counts(BitString.from_array(arr), m, mode)
+            assert r.counts.tolist() == want.tolist() and r.total == want.sum()
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_symbol_block_counts_match_per_block_count(q, m):
+    rng = np.random.default_rng(10 * q + m)
+    for _ in range(3):
+        n = m * int(rng.integers(1, 80)) + (int(rng.integers(1, m)) if m > 1 else 0)
+        codes = rng.integers(0, q, n)
+        s = "".join(map(str, codes.tolist()))
+        want = np.zeros(q ** m, dtype=np.int64)
+        for i in range(0, n - m + 1, m):
+            want[int(s[i:i + m], q)] += 1
+        assert symbol_block_counts(QaryString(codes, q), m).tolist() == want.tolist()
+
+
 def test_sweep_rows():
     rows = sweep([2, 100], [0.0, 0.1, 0.2])
     by_key = {(r.m, r.alpha): r for r in rows}
