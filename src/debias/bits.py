@@ -28,6 +28,8 @@ _ASCII_WS = b" \t\n\r\x0b\x0c"
 _DECODE = b"\x02" * 0x30 + b"\x00\x01" + b"\x02" * (256 - 0x32)
 _ENCODE = bytes.maketrans(b"\x00\x01", b"01")
 
+_ROWS = 1 << 8  # rows per % in _write_rows; 2^12 wrote traces faster but raised peak RSS
+
 
 def format_bits(value: int, length: int) -> str:
     """The length-``length`` 0/1 string with MSB-first integer value ``value``."""
@@ -39,6 +41,35 @@ def rank_bits(start: int, stop: int, length: int) -> np.ndarray:
     one uint8 row each; ``length <= 32``."""
     ranks = np.arange(start, stop, dtype=">u4").view(np.uint8).reshape(-1, 4)
     return np.unpackbits(ranks, axis=1)[:, 32 - length:]
+
+
+def _write_rows(file, header: str, blocks) -> None:
+    """Write ``header``, then one ``row % values`` line per entry of each
+    ``(row, columns, length)`` block, ``values`` being the entry's value in
+    each of the equal-length ``columns``; ``file`` is a path (opened with
+    ``newline=""``) or an open text file.  One ``%`` fills ``_ROWS`` rows of
+    ``tolist()`` values, so ``%r`` prints ``repr(float)``.  A ``{}`` in ``row``
+    is the entry's rank as a ``length``-bit key, set into the chunk's format
+    string laid out as uint8 rows; text baked into ``row`` holds no ``%``."""
+    if not hasattr(file, "write"):
+        with open(file, "w", newline="") as f:
+            return _write_rows(f, header, blocks)
+    file.write(header)
+    for row, columns, length in blocks:
+        columns = [np.asarray(c) for c in columns]
+        at = row.find("{}")
+        layout = np.frombuffer(row.replace("{}", "0" * length).encode("ascii"), np.uint8)
+        for lo in range(0, len(columns[0]) if columns else 0, _ROWS):
+            values = [c[lo:lo + _ROWS].tolist() for c in columns]
+            k = len(values[0])
+            if at < 0:
+                fmt = row * k
+            else:
+                text = np.tile(layout, (k, 1))
+                text[:, at:at + length] += rank_bits(lo, lo + k, length)
+                fmt = text.tobytes().decode("ascii")
+            flat = values[0] if len(values) == 1 else [v for e in zip(*values) for v in e]
+            file.write(fmt % tuple(flat))
 
 
 def _decode_ascii(data: bytes, skip: bytes = b"") -> bytes:

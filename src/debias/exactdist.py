@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, format_bits, rank_bits
+from .bits import BitString, _write_rows, format_bits
 from .errors import DegenerateSourceError, ValidationError
 from .sources import (ConstantSource, DriftingSource, MarkovSource, PairwiseSource,
                       SourceSpec)
 
 MAX_ENUM_N = 26
-_CSV_CHUNK = 1 << 8  # rows per write; larger chunks fragmented the heap and raised peak RSS
 _INDEPENDENCE_TOL = 1e-12  # absolute slack of check_independence
 
 
@@ -87,22 +86,8 @@ class DistributionTable:
 
     def to_csv(self, file) -> None:
         """Write ``string,probability\\r\\n`` rows in lexicographic order, the
-        bytes ``csv.writer`` writes for ``[key, repr(p)]``.
-
-        Rows go out in chunks of 2^8: the chunk's keys are the bits of
-        its big-endian ranks (``np.unpackbits``) plus ``'0'``, laid out as one
-        ``key,%r\\r\\n`` format string that a single ``%`` fills in.
-        """
-        if not hasattr(file, "write"):
-            with open(file, "w", newline="") as f:
-                return self.to_csv(f)
-        n = self.length
-        for lo in range(0, len(self.probs), _CSV_CHUNK):
-            probs = self.probs[lo:lo + _CSV_CHUNK]
-            rows = np.empty((len(probs), n + 5), dtype=np.uint8)
-            rows[:, :n] = rank_bits(lo, lo + len(probs), n) + ord("0")
-            rows[:, n:] = np.frombuffer(b",%r\r\n", dtype=np.uint8)
-            file.write(rows.tobytes().decode("ascii") % tuple(probs.tolist()))
+        bytes ``csv.writer`` writes for ``[key, repr(p)]``."""
+        _write_rows(file, "", [("{},%r\r\n", [self.probs], self.length)])
 
     @classmethod
     def from_csv(cls, file) -> "DistributionTable":

@@ -17,11 +17,11 @@ from typing import Optional
 
 import numpy as np
 
+from .bits import _write_rows
 from .errors import ValidationError
 from .exactdist import (MAX_ENUM_N, DistributionTable, normalized_dist,
                         total_variation, uniform_dist)
 from .sources import MarkovSource, check_markov_k
-from .stats import _write_csv
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,7 @@ def run_markov_experiment(exp: MarkovExperiment) -> MarkovResult:
 
 def write_markov_csv(results, file) -> None:
     """CSV rows ``k,kappa,m,n,tv_exact,tv_empirical,samples,seed``."""
-    _write_csv(file, ["k", "kappa", "m", "n", "tv_exact", "tv_empirical", "samples", "seed"],
-               ([r.k, repr(r.kappa), r.m, r.n, "" if r.tv_exact is None else repr(r.tv_exact),
-                 repr(r.tv_empirical), r.samples, r.seed] for r in results))
+    rows = [(r.k, r.kappa, r.m, r.n, "" if r.tv_exact is None else repr(r.tv_exact),
+             r.tv_empirical, r.samples, r.seed) for r in results]
+    _write_rows(file, "k,kappa,m,n,tv_exact,tv_empirical,samples,seed\r\n",
+                [("%s,%r,%s,%s,%s,%r,%s,%s\r\n", list(zip(*rows)), 0)])

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .bits import BitString, QaryString
+from .bits import BitString, QaryString, _write_rows
 from .errors import ValidationError
 
 PAIR_KEYS = ("00", "01", "10", "11")
@@ -29,9 +29,6 @@ MAX_MARKOV_K = 16
 
 # draws per lane of the speculative pass in the walk and the Markov sampler
 _BLOCK = 1024
-
-# offsets formatted per write in DriftTrace.save; bounds the str objects alive
-_SAVE_CHUNK = 1 << 12
 
 
 def check_markov_k(k: int) -> None:
@@ -120,10 +117,7 @@ class DriftTrace:
 
     def save(self, path) -> None:
         """Write one decimal offset per line."""
-        with open(path, "w") as f:
-            for i in range(0, len(self.epsilons), _SAVE_CHUNK):
-                chunk = self.epsilons[i:i + _SAVE_CHUNK].tolist()
-                f.write("%r\n" * len(chunk) % tuple(chunk))
+        _write_rows(path, "", [("%r\n", [self.epsilons], 0)])
 
     @classmethod
     def load(cls, path) -> "DriftTrace":
@@ -503,14 +497,10 @@ def load_markov_table(path, k: int) -> dict:
         if len(hist) != k or any(c not in "01" for c in hist):
             raise ValidationError(
                 f"{path}: line {lineno}: history {field!r} is not a {k}-bit string")
+        if hist in table:
+            raise ValidationError(f"{path}: line {lineno}: duplicate history {field!r}")
         table[hist] = p
     return table
-
-
-def save_markov_table(table: Mapping[str, float], path) -> None:
-    with open(path, "w") as f:
-        for h in sorted(table):
-            f.write(f"{h or '-'} {float(table[h])!r}\n")
 
 
 def load_pair_dists(path) -> list:

@@ -3,16 +3,16 @@ distributions, and bound-family parameter sweeps."""
 
 from __future__ import annotations
 
-import csv
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, QaryString, format_bits
+from .bits import BitString, QaryString, _write_rows
 from .bounds import linear_bound, tv_bound_exact, tv_bound_naive
 from .errors import ValidationError
-from .exactdist import DistributionTable, _check_enum_guard
+from .exactdist import MAX_ENUM_N, DistributionTable, _check_enum_guard
 
 MODES = ("non-overlapping", "overlapping")
 
@@ -48,17 +48,13 @@ class BorelReport:
     def max_abs_deviation(self) -> float:
         return float(np.abs(self.deviations).max())
 
-    def rows(self):
-        devs = self.deviations
-        for i, c in enumerate(self.counts):
-            yield format_bits(i, self.m), int(c), self.expected, float(devs[i])
-
     def format_table(self) -> str:
-        lines = [f"block counts, m={self.m}, mode={self.mode}, windows={self.total}",
-                 f"{'block':>8} {'count':>12} {'expected':>14} {'dev(sigma)':>11}"]
-        for block, count, expected, dev in self.rows():
-            lines.append(f"{block:>8} {count:>12} {expected:>14.2f} {dev:>+11.3f}")
-        return "\n".join(lines)
+        buf = io.StringIO()
+        _write_rows(buf, f"block counts, m={self.m}, mode={self.mode}, windows={self.total}\n"
+                         f"{'block':>8} {'count':>12} {'expected':>14} {'dev(sigma)':>11}\n",
+                    [(" " * (8 - self.m) + f"{{}} %12d {self.expected:>14.2f} %+11.3f\n",
+                      [self.counts, self.deviations], self.m)])
+        return buf.getvalue()[:-1]
 
 
 def _block_values(codes: np.ndarray, m: int, q: int, step: int) -> np.ndarray:
@@ -96,9 +92,11 @@ def empirical_block_dist(x: BitString, m: int) -> DistributionTable:
 
 def symbol_block_counts(x: QaryString, m: int) -> np.ndarray:
     """Counts of each disjoint m-symbol block of a Q-ary string, indexed by
-    the block's base-Q value."""
+    the block's base-Q value; q^m <= 2^MAX_ENUM_N, the size limit of a dense table."""
     if m < 1:
         raise ValidationError(f"m must be >= 1, got {m}")
+    if m > MAX_ENUM_N or x.q ** m > 1 << MAX_ENUM_N:  # q >= 2: no huge power for m > 26
+        raise ValidationError(f"q^m = {x.q}^{m} counts exceed 2^MAX_ENUM_N = 2^{MAX_ENUM_N}")
     if len(x) < m:
         raise ValidationError(f"input has {len(x)} symbols, need at least {m}")
     return np.bincount(_block_values(x.symbols, m, x.q, m), minlength=x.q ** m)
@@ -131,28 +129,16 @@ def sweep(ms, alphas) -> list[SweepRow]:
     return rows
 
 
-def _write_csv(file, header, rows) -> None:
-    """One header, then the rows, through ``csv.writer`` (CRLF line ends);
-    ``file`` is a path or an open text file."""
-    if not hasattr(file, "write"):
-        with open(file, "w", newline="") as f:
-            _write_csv(f, header, rows)
-        return
-    w = csv.writer(file)
-    w.writerow(header)
-    w.writerows(rows)
-
-
 def write_sweep_csv(rows, file) -> None:
     """CSV rows ``m,alpha,tv_exact,tv_linear,tv_naive``."""
-    _write_csv(file, ["m", "alpha", "tv_exact", "tv_linear", "tv_naive"],
-               ([r.m, repr(r.alpha), repr(r.tv_exact), repr(r.tv_linear),
-                 repr(r.tv_naive)] for r in rows))
+    rows = [(r.m, r.alpha, r.tv_exact, r.tv_linear, r.tv_naive) for r in rows]
+    _write_rows(file, "m,alpha,tv_exact,tv_linear,tv_naive\r\n",
+                [("%s,%r,%r,%r,%r\r\n", list(zip(*rows)), 0)])
 
 
 def write_borel_csv(reports, file) -> None:
     """CSV rows ``m,mode,block,count,expected,deviation_sigma``: one header,
     then every block of each report in turn, floats as their ``repr``."""
-    _write_csv(file, ["m", "mode", "block", "count", "expected", "deviation_sigma"],
-               ([r.m, r.mode, block, count, repr(expected), repr(dev)]
-                for r in reports for block, count, expected, dev in r.rows()))
+    _write_rows(file, "m,mode,block,count,expected,deviation_sigma\r\n",
+                ((f"{r.m},%s,{{}},%d,{r.expected!r},%r\r\n",
+                  [[r.mode] * len(r.counts), r.counts, r.deviations], r.m) for r in reports))

@@ -4,15 +4,20 @@ package against.
 Not collected by pytest (no ``test_`` prefix).  Each one restates a quantity
 that the package computes another way: ``vn_pair`` the pair map that
 ``vn_normalize`` applies by slicing, ``count_bits`` ``BitString.count``,
-``pn_prob`` and ``rn_prob`` one entry of ``exact_source_dist``, and
-``csv_writer_table`` the rows ``DistributionTable.to_csv`` writes.
+``pn_prob`` and ``rn_prob`` one entry of ``exact_source_dist``.  The rest
+restate, one row at a time, the text of the package's chunked row writer:
+``csv.writer`` rows for ``DistributionTable.to_csv`` (``csv_writer_table``)
+and for the sweep, Borel and markov CSVs, one f-string per line for
+``BorelReport.format_table`` and one ``repr`` per line for ``DriftTrace.save``.
 """
 
 import csv
+import io
 
 import numpy as np
 
 from debias import BitString, DriftTrace, ValidationError
+from debias.bits import format_bits
 
 
 def vn_pair(b1: int, b2: int) -> int | None:
@@ -58,3 +63,53 @@ def csv_writer_table(table, file) -> None:
     else:
         with open(file, "w", newline="") as f:
             csv_writer_table(table, f)
+
+
+def _csv_writer_text(header, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def sweep_csv(rows) -> str:
+    """``write_sweep_csv`` as one ``csv.writer`` row per point."""
+    return _csv_writer_text(["m", "alpha", "tv_exact", "tv_linear", "tv_naive"],
+                            ([r.m, repr(r.alpha), repr(r.tv_exact), repr(r.tv_linear),
+                              repr(r.tv_naive)] for r in rows))
+
+
+def _borel_rows(r):
+    """``(block, count, expected, deviation)`` for each block of a report."""
+    for i, (c, dev) in enumerate(zip(r.counts, r.deviations)):
+        yield format_bits(i, r.m), int(c), r.expected, float(dev)
+
+
+def borel_csv(reports) -> str:
+    """``write_borel_csv`` as one ``csv.writer`` row per block."""
+    return _csv_writer_text(["m", "mode", "block", "count", "expected", "deviation_sigma"],
+                            ([r.m, r.mode, block, count, repr(expected), repr(dev)]
+                             for r in reports for block, count, expected, dev in _borel_rows(r)))
+
+
+def borel_table(r) -> str:
+    """``BorelReport.format_table`` as one f-string per line."""
+    lines = [f"block counts, m={r.m}, mode={r.mode}, windows={r.total}",
+             f"{'block':>8} {'count':>12} {'expected':>14} {'dev(sigma)':>11}"]
+    for block, count, expected, dev in _borel_rows(r):
+        lines.append(f"{block:>8} {count:>12} {expected:>14.2f} {dev:>+11.3f}")
+    return "\n".join(lines)
+
+
+def markov_csv(results) -> str:
+    """``write_markov_csv`` as one ``csv.writer`` row per result."""
+    return _csv_writer_text(
+        ["k", "kappa", "m", "n", "tv_exact", "tv_empirical", "samples", "seed"],
+        ([r.k, repr(r.kappa), r.m, r.n, "" if r.tv_exact is None else repr(r.tv_exact),
+          repr(r.tv_empirical), r.samples, r.seed] for r in results))
+
+
+def trace_text(trace) -> str:
+    """``DriftTrace.save`` as one ``repr`` line per offset."""
+    return "".join(f"{e!r}\n" for e in trace.epsilons.tolist())

@@ -246,14 +246,18 @@ def test_exit_codes(tmp_path, capsys):
      "rho = 5.0 is too large for m = 3"),
     (["generate", "--source", "pairwise", "--pairs", "{pairs}", "-n", "8", "-o", "{out}"],
      "negative or NaN weight"),
+    (["generate", "--source", "markov", "--k", "1", "--kappa", "0.4", "--p0", "0.5",
+      "--table", "{table}", "-n", "8", "-o", "{out}"], "line 2: duplicate history '0'"),
 ])
 def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     bits = tmp_path / "four.txt"
     bits.write_text("0110")
     pairs = tmp_path / "nan.pairs"
     pairs.write_text("nan 0.5 0.5 0\n")
+    table = tmp_path / "dup.table"
+    table.write_text("0 0.5\n0 0.9\n1 0.5\n")
     out = tmp_path / "out.csv"  # the file no failing command may create
-    argv = [a.format(bits=bits, pairs=pairs, out=out) for a in argv]
+    argv = [a.format(bits=bits, pairs=pairs, table=table, out=out) for a in argv]
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and needle in captured.err

@@ -396,7 +396,7 @@ def test_csv_matches_csv_writer_oracle(tmp_path):
 
 def test_csv_chunk_seams(monkeypatch):
     # a 5-row chunk puts seams inside every table from length 3 up
-    monkeypatch.setattr("debias.exactdist._CSV_CHUNK", 5)
+    monkeypatch.setattr("debias.bits._ROWS", 5)
     rng = np.random.default_rng(32)
     for n in range(8):
         for table in _csv_tables(n, rng):

@@ -8,6 +8,8 @@ from debias import (MarkovExperiment, ValidationError, exact_source_dist,
                     normalized_dist, random_markov_source,
                     run_markov_experiment, total_variation, uniform_dist,
                     write_markov_csv)
+from debias.markov import MarkovResult
+from string_oracles import markov_csv
 
 
 def test_random_source_respects_band():
@@ -86,3 +88,19 @@ def test_markov_csv():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "k,kappa,m,n,tv_exact,tv_empirical,samples,seed"
     assert lines[1].startswith("1,0.05,2,12,")
+
+
+def test_markov_csv_matches_csv_writer_oracle(monkeypatch, tmp_path):
+    # seven results cross a 5-row chunk seam; a None tv_exact is an empty
+    # field and a NaN tv_empirical (no accepted trial) prints as nan
+    monkeypatch.setattr("debias.bits._ROWS", 5)
+    results = [MarkovResult(k=i % 3, kappa=0.05 * i, m=2, n=10 + i,
+                            tv_exact=None if i % 2 else 0.01 / (i + 1),
+                            tv_empirical=math.nan if i == 3 else 0.1 / (i + 1),
+                            accepted=0 if i == 3 else i, samples=100 * i + 1, seed=i)
+               for i in range(7)]
+    write_markov_csv(results, tmp_path / "markov.csv")
+    assert (tmp_path / "markov.csv").read_bytes() == markov_csv(results).encode()
+    buf = io.StringIO()
+    write_markov_csv([], buf)
+    assert buf.getvalue() == markov_csv([])

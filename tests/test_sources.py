@@ -6,8 +6,8 @@ from debias import (BitString, ConstantSource, DriftParams, DriftTrace,
                     ValidationError, adversarial_trace, sample, sample_symbols,
                     validate_trace)
 from debias.sources import _BLOCK as BLOCK
-from debias.sources import (PAIR_KEYS, load_markov_table, load_pair_dists,
-                            save_markov_table)
+from debias.sources import PAIR_KEYS, load_markov_table, load_pair_dists
+from string_oracles import trace_text
 
 
 def test_drift_params_invariants():
@@ -219,6 +219,13 @@ def test_trace_file_round_trip(tmp_path):
         DriftTrace.load(tmp_path / "bad.txt")
 
 
+def save_markov_table(table, path) -> None:
+    """Write ``table`` as the ``history p0`` lines ``load_markov_table`` reads."""
+    with open(path, "w") as f:
+        for h in sorted(table):
+            f.write(f"{h or '-'} {float(table[h])!r}\n")
+
+
 def test_markov_table_file_round_trip(tmp_path):
     table = {"0": 0.52, "1": 0.48}
     path = tmp_path / "table.txt"
@@ -247,7 +254,8 @@ def test_pair_dist_file(tmp_path):
      [("0.01 0.02", "expected 1 fields, got 2"), ("nope", "not a decimal offset: 'nope'")]),
     (lambda path: load_markov_table(path, 1), "0 0.52\n1 0.48\n", {"0": 0.52, "1": 0.48},
      [("0 0.5 0.5", "expected 2 fields, got 3"), ("0 x", "not a probability: 'x'"),
-      ("01 0.5", "history '01' is not a 1-bit string")]),
+      ("01 0.5", "history '01' is not a 1-bit string"),
+      ("0 0.9", "duplicate history '0'")]),
     (load_pair_dists, "0 0.5 0.5 0\n", [dict(zip(PAIR_KEYS, (0.0, 0.5, 0.5, 0.0)))],
      [("0.5 0.5", "expected 4 fields, got 2"), ("0 0.5 0.5 y", "not a weight: 'y'")]),
 ])
@@ -392,3 +400,13 @@ def test_trace_save_writes_one_repr_per_line(tmp_path):
     want = "".join(f"{float(e)!r}\n" for e in trace.epsilons)
     assert (tmp_path / "t.txt").read_text() == want
     assert DriftTrace.load(tmp_path / "t.txt") == trace
+
+
+def test_trace_save_matches_repr_oracle(monkeypatch, tmp_path):
+    # 5-row chunk seams, repr's exponent forms, a negative zero, a subnormal
+    # and an empty trace
+    monkeypatch.setattr("debias.bits._ROWS", 5)
+    for eps in ([-0.0, 5e-324, 1e16, 1 / 3, 1e-05, -2.5e-07, 0.1, 1e22], [], [0.0]):
+        trace = DriftTrace(eps)
+        trace.save(tmp_path / "t.txt")
+        assert (tmp_path / "t.txt").read_bytes() == trace_text(trace).encode()

@@ -1,14 +1,16 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from debias import (BitString, QaryString, ValidationError, borel_counts,
+from debias import (BitString, BorelReport, QaryString, ValidationError, borel_counts,
                     empirical_block_dist, sweep, symbol_block_counts,
                     tv_bound_exact, uniform_dist, write_borel_csv,
                     write_sweep_csv)
 from debias.bounds import alpha_max, linear_bound, tv_bound_naive
+from string_oracles import borel_csv, borel_table, sweep_csv
 
 
 def test_borel_counts_examples():
@@ -60,6 +62,28 @@ def test_borel_report_deviations():
     assert len(lines) == 3
 
 
+def test_borel_csv_and_table_match_oracles(monkeypatch, tmp_path):
+    # 5-row chunks put seams inside every report from m = 3 up; from m = 9
+    # the block column is wider than its 8-character header and has no padding
+    monkeypatch.setattr("debias.bits._ROWS", 5)
+    rng = np.random.default_rng(41)
+    x = BitString.from_array((rng.random(3000) < 0.55).astype(np.uint8))
+    for mode in ("non-overlapping", "overlapping"):
+        reports = [borel_counts(x, m, mode) for m in range(1, 11)]
+        buf = io.StringIO()
+        write_borel_csv(reports, buf)
+        assert buf.getvalue() == borel_csv(reports)
+        write_borel_csv(reports, tmp_path / "borel.csv")
+        assert (tmp_path / "borel.csv").read_bytes() == borel_csv(reports).encode()
+        for r in reports:
+            assert r.format_table() == borel_table(r)
+    # a hand-built report's mode is written as a value, never read as format text
+    odd = BorelReport(m=2, mode="50%{}", total=4, counts=np.array([1, 1, 1, 1]))
+    buf = io.StringIO()
+    write_borel_csv([odd], buf)
+    assert buf.getvalue() == borel_csv([odd])
+
+
 def test_empirical_block_dist():
     t = empirical_block_dist(BitString("0101"), 2)
     assert t.prob("01") == 1.0 and t.prob("00") == 0.0
@@ -91,6 +115,22 @@ def test_borel_counts_match_per_window_count(m):
                 want[int(s[i:i + m], 2)] += 1
             r = borel_counts(BitString.from_array(arr), m, mode)
             assert r.counts.tolist() == want.tolist() and r.total == want.sum()
+
+
+def test_symbol_block_counts_table_guard():
+    # q^m above 2^26 is refused before the block values or the table are
+    # built: 3^17 counts would take 1 GiB, and 3^40 overflowed bincount
+    x = QaryString(np.zeros(42, dtype=np.int64), 3)
+    tracemalloc.start()
+    try:
+        for m in (17, 40):
+            with pytest.raises(ValidationError,
+                               match=rf"q\^m = 3\^{m} counts exceed 2\^MAX_ENUM_N = 2\^26"):
+                symbol_block_counts(x, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -144,6 +184,19 @@ def test_write_sweep_csv(tmp_path):
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, path)
     assert path.read_text().strip().splitlines()[0] == lines[0]
+
+
+def test_sweep_csv_matches_csv_writer_oracle(monkeypatch, tmp_path):
+    # a NaN linear column below m = 3, 5-row chunk seams, and a header-only file
+    monkeypatch.setattr("debias.bits._ROWS", 5)
+    rows = sweep([1, 2, 3, 100], np.logspace(-6, -0.5, 4))
+    for points in (rows, []):
+        buf = io.StringIO()
+        write_sweep_csv(points, buf)
+        assert buf.getvalue() == sweep_csv(points)
+    write_sweep_csv(rows, tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == sweep_csv(rows).encode()
+    assert sweep_csv([]) == "m,alpha,tv_exact,tv_linear,tv_naive\r\n"
 
 
 def test_sweep_csv_plain_floats_from_numpy_grid(tmp_path):
