@@ -4,9 +4,10 @@ How close does the von Neumann output of a source whose per-bit probability
 depends on the previous k bits (within a kappa band around the base marginal)
 get to uniform?  No closed form is known, so results are *reported*, never
 asserted against a target: the harness draws a kappa-banded conditional table
-from the experiment seed, estimates the distance empirically from repeated
-independent n-bit runs, and computes the exact conditional distribution from
-the source's pair masses whenever n <= 26 and k + m + 1 <= 26.
+from the experiment seed, estimates the distance from independent n-bit runs
+(one pass over the columns, memory O(samples) for any n, odd n included,
+m <= 26), and computes the exact conditional distribution from the source's
+pair masses whenever n <= 26 and k + m + 1 <= 26.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from .bits import _write_rows
+from .bits import _write_rows, format_bits
 from .errors import ValidationError
-from .exactdist import (MAX_ENUM_N, DistributionTable, normalized_dist,
-                        total_variation, uniform_dist)
+from .exactdist import (MAX_ENUM_N, DistributionTable, _check_enum_guard,
+                        normalized_dist, total_variation, uniform_dist)
 from .sources import MarkovSource, check_markov_k
 
 
@@ -43,6 +44,7 @@ class MarkovExperiment:
             raise ValidationError(f"need at least one trial, got {self.samples}")
         if not 1 <= self.m <= self.n // 2:
             raise ValidationError(f"need 1 <= m <= n/2, got m = {self.m}, n = {self.n}")
+        _check_enum_guard(self.m, "m")  # the 2^m-entry frequency table
 
 
 @dataclass
@@ -64,43 +66,32 @@ def random_markov_source(k: int, kappa: float, p0: float, seed: int) -> MarkovSo
     rng = np.random.default_rng([seed, 0])
     lo = max(p0 - kappa, 1e-12)
     hi = min(p0 + kappa, 1.0 - 1e-12)
-    table = {}
-    for h in range(1 << k):
-        key = format(h, f"0{k}b") if k else ""
-        table[key] = float(rng.uniform(lo, hi)) if kappa > 0 else p0
+    probs = rng.uniform(lo, hi, 1 << k).tolist() if kappa > 0 else [p0] * (1 << k)
+    table = {format_bits(h, k): p for h, p in enumerate(probs)}
     return MarkovSource(k=k, kappa=kappa, p0=p0, table=table)
 
 
-def _sample_trials(source: MarkovSource, n: int, trials: int, seed: int) -> np.ndarray:
-    """(trials, n) bit matrix; each row an independent run started with an
-    empty history (the first k bits use the base marginal)."""
+def _output_counts(source: MarkovSource, n: int, m: int, trials: int,
+                   seed: int) -> np.ndarray:
+    """Count of each m-bit von Neumann output over the n-bit runs that give
+    exactly m bits.  Each run starts with an empty history (the first k bits
+    use p0) and keeps only its history, its open pair's first bit, its count
+    of kept pairs and its last m kept bits.  An odd last bit is never drawn."""
     rng = np.random.default_rng([seed, 1])
     cond = source.cond_zero_probs()
-    mask = (1 << source.k) - 1
-    bits = np.empty((trials, n), dtype=np.uint8)
-    hist = np.zeros(trials, dtype=np.int64)
-    for i in range(n):
-        pz = np.full(trials, source.p0) if i < source.k else cond[hist]
-        bit = (rng.random(trials) >= pz).astype(np.uint8)
-        bits[:, i] = bit
+    mask, code_mask = (1 << source.k) - 1, (1 << m) - 1
+    hist, kept, code = np.zeros((3, trials), dtype=np.int64)
+    for i in range(n - n % 2):
+        pz = source.p0 if i < source.k else cond[hist]
+        bit = (rng.random(trials) >= pz).view(np.uint8)
         hist = ((hist << 1) | bit) & mask
-    return bits
-
-
-def _empirical_normalized_dist(bits: np.ndarray, m: int):
-    """Frequency table of von Neumann outputs of length exactly m, row-wise."""
-    a = bits[:, 0::2]
-    b = bits[:, 1::2]
-    keep = a != b
-    accepted = keep.sum(axis=1) == m
-    count = int(accepted.sum())
-    if count == 0:
-        return None, 0
-    # every accepted row keeps exactly m pairs, read MSB-first in row order
-    kept = a[accepted][keep[accepted]].reshape(count, m)
-    vals = kept @ (1 << np.arange(m - 1, -1, -1))
-    freqs = np.bincount(vals, minlength=1 << m) / count
-    return DistributionTable(m, freqs), count
+        if i % 2 == 0:
+            first = bit
+        else:
+            unequal = first ^ bit  # 1 where the pair is kept
+            kept += unequal
+            code = ((code << unequal) | (first & unequal)) & code_mask
+    return np.bincount(code[kept == m], minlength=1 << m)
 
 
 def run_markov_experiment(exp: MarkovExperiment) -> MarkovResult:
@@ -113,9 +104,10 @@ def run_markov_experiment(exp: MarkovExperiment) -> MarkovResult:
     tv_exact = (total_variation(normalized_dist(source, exp.n, exp.m), uniform)
                 if exact else None)
 
-    bits = _sample_trials(source, exp.n, exp.samples, exp.seed)
-    table, accepted = _empirical_normalized_dist(bits, exp.m)
-    tv_emp = math.nan if table is None else total_variation(table, uniform)
+    counts = _output_counts(source, exp.n, exp.m, exp.samples, exp.seed)
+    accepted = int(counts.sum())
+    tv_emp = (total_variation(DistributionTable(exp.m, counts / accepted), uniform)
+              if accepted else math.nan)
 
     return MarkovResult(k=exp.k, kappa=exp.kappa, m=exp.m, n=exp.n,
                         tv_exact=tv_exact, tv_empirical=tv_emp,

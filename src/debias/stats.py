@@ -17,6 +17,11 @@ from .exactdist import MAX_ENUM_N, DistributionTable, _check_enum_guard
 MODES = ("non-overlapping", "overlapping")
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+
 @dataclass
 class BorelReport:
     """Occurrence counts of every m-bit block with their binomial-model
@@ -27,6 +32,9 @@ class BorelReport:
     mode: str
     total: int
     counts: np.ndarray
+
+    def __post_init__(self):
+        _check_mode(self.mode)
 
     @property
     def expected(self) -> float:
@@ -77,8 +85,7 @@ def borel_counts(x: BitString, m: int, mode: str = "non-overlapping") -> BorelRe
     _check_enum_guard(m, "m")
     if len(x) < m:
         raise ValidationError(f"input has {len(x)} bits, need at least {m}")
-    if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+    _check_mode(mode)
     vals = _block_values(x.to_array(), m, 2, m if mode == "non-overlapping" else 1)
     counts = np.bincount(vals, minlength=1 << m)
     return BorelReport(m=m, mode=mode, total=len(vals), counts=counts)

@@ -205,6 +205,16 @@ def test_markov_subcommand(tmp_path, capsys):
     assert lines[1].startswith("1,0.05,2,12,")
 
 
+def test_markov_odd_n(tmp_path, capsys):
+    # the unpaired 17th bit is dropped, not an error
+    out = tmp_path / "markov.csv"
+    assert run(["markov", "--k", "1", "--kappa", "0.05", "--m", "2", "-n", "17",
+                "--samples", "100", "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].split(",")[3] == "17"
+    assert "accepted" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path, capsys):
     # validation error -> 1
     assert run(["tv", "--m", "2", "--alpha", "1.5"]) == 1
@@ -248,6 +258,8 @@ def test_exit_codes(tmp_path, capsys):
      "negative or NaN weight"),
     (["generate", "--source", "markov", "--k", "1", "--kappa", "0.4", "--p0", "0.5",
       "--table", "{table}", "-n", "8", "-o", "{out}"], "line 2: duplicate history '0'"),
+    (["markov", "--k", "1", "--kappa", "0.1", "--m", "27", "-n", "54", "-o", "{out}"],
+     "m = 27 exceeds the enumeration guard 26"),
 ])
 def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     bits = tmp_path / "four.txt"

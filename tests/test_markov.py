@@ -1,15 +1,57 @@
+import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from debias import (MarkovExperiment, ValidationError, exact_source_dist,
-                    normalized_dist, random_markov_source,
+from debias import (DistributionTable, MarkovExperiment, ValidationError,
+                    exact_source_dist, normalized_dist, random_markov_source,
                     run_markov_experiment, total_variation, uniform_dist,
                     write_markov_csv)
-from debias.markov import MarkovResult
+from debias.markov import MarkovResult, _output_counts
 from string_oracles import markov_csv
+
+
+def matrix_trials(source, n, trials, seed):
+    """The (trials, n) bit matrix route, as an oracle: every column drawn and
+    stored; each row an independent run from an empty history."""
+    rng = np.random.default_rng([seed, 1])
+    cond = source.cond_zero_probs()
+    mask = (1 << source.k) - 1
+    bits = np.empty((trials, n), dtype=np.uint8)
+    hist = np.zeros(trials, dtype=np.int64)
+    for i in range(n):
+        pz = np.full(trials, source.p0) if i < source.k else cond[hist]
+        bit = (rng.random(trials) >= pz).astype(np.uint8)
+        bits[:, i] = bit
+        hist = ((hist << 1) | bit) & mask
+    return bits
+
+
+def matrix_dist(bits, m):
+    """Frequency table of the row-wise von Neumann outputs of length exactly
+    m and their number; an odd last column is dropped, as it is never paired."""
+    bits = bits[:, :bits.shape[1] // 2 * 2]
+    a = bits[:, 0::2]
+    keep = a != bits[:, 1::2]
+    accepted = keep.sum(axis=1) == m
+    count = int(accepted.sum())
+    if count == 0:
+        return None, 0
+    kept = a[accepted][keep[accepted]].reshape(count, m)
+    vals = kept @ (1 << np.arange(m - 1, -1, -1))
+    return DistributionTable(m, np.bincount(vals, minlength=1 << m) / count), count
+
+
+def scalar_markov_source_table(k, kappa, p0, seed):
+    """random_markov_source's table by one draw per history, as an oracle."""
+    rng = np.random.default_rng([seed, 0])
+    lo = max(p0 - kappa, 1e-12)
+    hi = min(p0 + kappa, 1.0 - 1e-12)
+    return {format(h, f"0{k}b") if k else "": float(rng.uniform(lo, hi)) if kappa > 0 else p0
+            for h in range(1 << k)}
 
 
 def test_random_source_respects_band():
@@ -17,6 +59,15 @@ def test_random_source_respects_band():
     assert src.k == 2 and len(src.table) == 4
     assert all(abs(p - 0.55) <= 0.04 for p in src.table.values())
     assert random_markov_source(2, 0.04, 0.55, 7).table == src.table
+
+
+def test_random_source_matches_scalar_draws():
+    for k in range(11):
+        for kappa in (0.0, 0.01, 0.3, 0.7):
+            for p0 in (0.5, 0.2, 0.95):
+                for seed in (1, 2):
+                    src = random_markov_source(k, kappa, p0, seed)
+                    assert src.table == scalar_markov_source_table(k, kappa, p0, seed)
 
 
 def test_kappa_zero_reduces_to_constant():
@@ -43,6 +94,64 @@ def test_experiment_validation():
     for k in (-1, 17):
         with pytest.raises(ValidationError, match="MAX_MARKOV_K = 16"):
             MarkovExperiment(k=k, kappa=0.1, m=2, n=8, samples=100, seed=1)
+
+
+def test_output_length_guard_before_sampling():
+    # m above 26 is refused when the experiment is built, before a 2^m-entry
+    # table is asked for (m = 64 would also overflow the MSB-first shifts)
+    tracemalloc.start()
+    try:
+        for m in (27, 40, 64):
+            with pytest.raises(ValidationError, match="m = %d exceeds the enumeration guard 26" % m):
+                MarkovExperiment(k=1, kappa=0.1, m=m, n=2 * m + 1, samples=10 ** 6, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    MarkovExperiment(k=1, kappa=0.1, m=26, n=52, samples=1, seed=1)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_one_pass_matches_matrix_oracle(k, m):
+    for n, trials, p0 in ((2 * m + 6, 3000, 0.5), (2 * m + 7, 3000, 0.5),
+                          (2 * m, 2000, 0.5), (2 * m + 1, 50, 0.999)):
+        seed = 100 * k + 10 * m + n
+        exp = MarkovExperiment(k=k, kappa=0.05 * (k % 2 + 1), m=m, n=n, samples=trials,
+                               seed=seed, p0=p0 if k else 0.5)
+        source = random_markov_source(exp.k, exp.kappa, exp.p0, seed)
+        want, count = matrix_dist(matrix_trials(source, n, trials, seed), m)
+        counts = _output_counts(source, n, m, trials, seed)
+        res = run_markov_experiment(exp)
+        assert res.accepted == count == counts.sum()
+        if count == 0:
+            assert math.isnan(res.tv_empirical)
+            continue
+        assert np.array_equal(counts / count, want.probs)
+        assert res.tv_empirical == total_variation(want, uniform_dist(m))
+
+
+def test_odd_n_drops_its_last_bit():
+    for k, m in ((0, 2), (1, 2), (3, 4)):
+        even = MarkovExperiment(k=k, kappa=0.05, m=m, n=16, samples=4000, seed=9)
+        r16 = run_markov_experiment(even)
+        r17 = run_markov_experiment(dataclasses.replace(even, n=17))
+        assert r17.n == 17 and r16.tv_exact is not None
+        assert dataclasses.replace(r17, n=16) == r16
+
+
+def test_memory_is_independent_of_n():
+    # a trials x n uint8 matrix would take 19 MiB here; a source near
+    # p0 = 1 keeps about 8 of its 2000 pairs, so many runs are counted
+    exp = MarkovExperiment(k=3, kappa=5e-4, m=8, n=4000, samples=5000, seed=4, p0=0.998)
+    tracemalloc.start()
+    try:
+        res = run_markov_experiment(exp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.tv_exact is None and res.accepted > 0
+    assert peak < 1 << 20
 
 
 def test_explorer_reports_both_tv():

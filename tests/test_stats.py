@@ -77,11 +77,20 @@ def test_borel_csv_and_table_match_oracles(monkeypatch, tmp_path):
         assert (tmp_path / "borel.csv").read_bytes() == borel_csv(reports).encode()
         for r in reports:
             assert r.format_table() == borel_table(r)
-    # a hand-built report's mode is written as a value, never read as format text
-    odd = BorelReport(m=2, mode="50%{}", total=4, counts=np.array([1, 1, 1, 1]))
-    buf = io.StringIO()
-    write_borel_csv([odd], buf)
-    assert buf.getvalue() == borel_csv([odd])
+
+
+def test_borel_report_validates_mode(monkeypatch):
+    # a hand-built report with a mode outside MODES is refused: "a,b" would
+    # be written as two CSV fields
+    for mode in ("a,b", "50%{}", "", "Overlapping"):
+        with pytest.raises(ValidationError, match="unknown mode"):
+            BorelReport(m=2, mode=mode, total=4, counts=np.array([1, 1, 1, 1]))
+    # borel_counts still refuses a bad mode before it counts a block
+    def no_count(*args):
+        raise AssertionError("counted blocks for a bad mode")
+    monkeypatch.setattr("debias.stats._block_values", no_count)
+    with pytest.raises(ValidationError, match="unknown mode 'a,b'"):
+        borel_counts(BitString("0110"), 2, "a,b")
 
 
 def test_empirical_block_dist():
