@@ -9,10 +9,16 @@ Two on-disk formats are supported:
 * ``packed`` -- an 8-byte little-endian bit count followed by the bits
   packed MSB-first, pad bits in the final byte zeroed.  The length prefix
   makes lengths that are not a multiple of 8 unambiguous.
+
+Every text file the package writes goes through :func:`_write_rows`, which
+lays a chunk of lines out as NUL-padded ``uint8`` columns and prints floats
+as ``repr`` does, the shortest decimal that reads back to the same float,
+with :func:`_repr_floats`.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from collections.abc import Iterable
 
@@ -28,7 +34,8 @@ _ASCII_WS = b" \t\n\r\x0b\x0c"
 _DECODE = b"\x02" * 0x30 + b"\x00\x01" + b"\x02" * (256 - 0x32)
 _ENCODE = bytes.maketrans(b"\x00\x01", b"01")
 
-_ROWS = 1 << 8  # rows per % in _write_rows; 2^12 wrote traces faster but raised peak RSS
+_CHUNK = 1 << 18  # bytes of padded row text that _write_rows lays out per write
+_FEW_ROWS = 256  # below this, repr per value beats _repr_floats's fixed cost of about 0.2 ms
 
 
 def format_bits(value: int, length: int) -> str:
@@ -43,33 +50,182 @@ def rank_bits(start: int, stop: int, length: int) -> np.ndarray:
     return np.unpackbits(ranks, axis=1)[:, 32 - length:]
 
 
+# Shortest round-trip decimals.  A float64 of binary exponent e2 (2^e2 <= |x|
+# < 2^(e2+1)) and 53-bit integer significand M is x = M 2^(e2-52).  With
+# q = 17 - floor(e2 log10 2), X = |x| 10^q lies in [10^17, 2 10^18) and is
+# M 5^q / 2^s, s = 52 - e2 - q; for -40 <= e2 <= 50, s is 0..62, so
+# M * (5^q 2^(64-s)) is X exactly as 64 integer and 64 fraction bits, and
+# half the gap to a neighbouring float, 5^q / 2^(s+1), is G / 2^64 with
+# G = 5^q 2^(63-s) (half of that below a power of two).  Other values,
+# among them 0, subnormals, inf and nan, are left to repr.
+_E2 = range(-40, 51)
+_Q = np.array([17 - ((e2 * 78913) >> 18) for e2 in _E2])  # floor(e2 log10 2) for |e2| < 1650
+_WIDE = [5 ** int(q) << (12 + e2 + int(q)) for e2, q in zip(_E2, _Q)]  # 5^q 2^(64-s)
+_W0, _W1, _W2 = (np.array([w >> k & 0xFFFFFFFF for w in _WIDE], np.uint64) for k in (0, 32, 64))
+_GI, _GF = (np.array([w >> k & (1 << 64) - 1 for w in _WIDE], np.uint64) for k in (65, 1))
+_POW10 = np.array([10 ** i for i in range(20)], np.uint64)
+_LO32 = np.uint64(0xFFFFFFFF)
+_MANT = np.uint64((1 << 52) - 1)
+
+# A %r field is 12 groups of 4 bytes, each an entry of _TEXT: the sign, 16
+# integer digits, the point, 20 fraction digits and the exponent.  _MASK
+# blanks the leading integer and fraction places a value does not print.
+_TEXT = np.zeros((10103, 4), np.uint8)
+_digit = np.arange(48, 58, dtype=np.uint8)
+_TEXT[:10000].reshape(10, 10, 10, 10, 4)[...] = np.stack(np.broadcast_arrays(
+    _digit[:, None, None, None], _digit[:, None, None], _digit[:, None], _digit), -1)
+_NUL, _DOT, _MINUS, _EXP = 10000, 10001, 10002, 10003  # _EXP + j: "e-%02d" % j
+_TEXT[_DOT, 0], _TEXT[_MINUS, 0] = ord("."), ord("-")
+_TEXT[_EXP:, :2] = ord("e"), ord("-")
+_TEXT[_EXP:, 2:] = _TEXT[:100, 2:]
+_TEXT = _TEXT.view(np.uint32).ravel()
+_FIELD = 48
+_MASK = np.frombuffer(b"".join(  # row 21 a + b blanks a integer and b fraction places
+    b"\xff" * 4 + bytes(a) + b"\xff" * (20 - a) + bytes(b) + b"\xff" * (24 - b)
+    for a in range(17) for b in range(21)), np.uint8).reshape(-1, _FIELD)
+
+
+def _shortest(x: np.ndarray, e: np.ndarray):
+    """The ``repr`` fields of the finite floats ``x`` whose exponents ``e2``
+    are ``_E2[e]``, and which of them are certain: an exact tie between two
+    shortest decimals is left to ``repr``."""
+    m = x.view(np.uint64) & _MANT
+    pow2 = m == 0
+    m |= np.uint64(1 << 52)
+    # X = d + phi / 2^64: the 53 x 73-bit product M * _WIDE[e] in 32-bit columns
+    m0, m1 = m & _LO32, m >> np.uint64(32)
+    w0, w1, w2 = _W0[e], _W1[e], _W2[e]
+    p00, p01, p10 = m0 * w0, m0 * w1, m1 * w0
+    mid = (p00 >> np.uint64(32)) + (p01 & _LO32) + (p10 & _LO32)
+    phi = (p00 & _LO32) | (mid << np.uint64(32))
+    d = ((mid >> np.uint64(32)) + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32))
+         + m0 * w2 + m1 * w1 + (m1 * w2 << np.uint64(32)))
+    # hi and lo: the integers just below the ends of the round-trip interval,
+    # X plus and minus half the gap to a neighbour.  An end is an integer
+    # only if 53 - e2 <= q, that is for e2 > 50, so whether the interval
+    # holds its ends (it does for even M) never matters here.
+    gi, gf = _GI[e], _GF[e]
+    top = phi + gf
+    hi = d + gi + (top < phi)
+    gf = np.where(pow2, (gf >> np.uint64(1)) | (gi << np.uint64(63)), gf)
+    gi = np.where(pow2, gi >> np.uint64(1), gi)
+    lo = d - gi - (phi < gf)
+    # k: the most places a multiple of 10^k inside the interval drops; at
+    # least 1, as the interval is wider than 10, and a multiple of 10^(k+1)
+    # inside is a multiple of 10^k
+    k = np.ones(len(x), np.intp)
+    for j in range(2, 19):
+        more = hi // _POW10[j] != lo // _POW10[j]
+        if not more.any():
+            break
+        k += more
+    # of the two multiples of 10^k around X, the one inside, or else the nearer
+    p = _POW10[k]
+    t = d // p
+    r = d - t * p
+    half = p >> np.uint64(1)
+    down = t * p > lo
+    up = (t + np.uint64(1)) * p <= hi
+    tie = down & up & (r == half) & (phi == 0)
+    up &= ~down | (r > half) | ((r == half) & (phi != 0))
+    c = t + up
+    # repr's layout: x = 0.(the digits of c) 10^point
+    digits = 18 + (c * p >= _POW10[18]) - k
+    point = digits + k - _Q[e]
+    sci = point <= -4  # x < 2^51 is below 10^16, so never large enough for e+
+    lead = np.where(sci, 1, point)  # digits before the point
+    frac = digits - lead  # digits after it, if positive
+    shown = np.where(sci, frac, np.maximum(frac, 1))
+    # the integer and fraction digits, 4 to a group; the integer part is
+    # below 10^16, so its top group is the sign's
+    v = np.empty((len(x), 2), np.uint64)
+    p = _POW10[np.clip(frac, 0, 19)]
+    v[:, 0] = c // p
+    v[:, 1] = c - v[:, 0] * p
+    v[:, 0] *= _POW10[np.clip(-frac, 0, 19)]
+    g = np.empty((len(x), 2, 6), np.uint16)
+    for i in range(4, 0, -1):
+        q = v // np.uint64(10000)
+        g[:, :, i] = v - q * np.uint64(10000)
+        v = q
+    g[:, 1, 0] = v[:, 1]
+    g[:, 0, 0] = np.where(x < 0, _MINUS, _NUL)
+    g[:, 0, 5] = np.where(shown > 0, _DOT, _NUL)
+    g[:, 1, 5] = np.where(sci, _EXP + 1 - point, _NUL)
+    text = _TEXT.take(g).view(np.uint8).reshape(len(x), _FIELD)
+    text &= _MASK.take((16 - np.maximum(lead, 1)) * 21 + 20 - shown, axis=0)
+    return text, ~tie
+
+
+def _repr_floats(x) -> np.ndarray:
+    """``repr(float(v))`` of each value of the float64 array ``x``, as one
+    NUL-padded row of ``_FIELD`` bytes each."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    e = (x.view(np.uint64) >> np.uint64(52)).astype(np.intp) & 0x7FF
+    e -= 1023 + _E2[0]
+    at = np.flatnonzero((e >= 0) & (e < len(_E2)))
+    if len(at) == len(x):
+        out, ok = _shortest(x, e)
+    else:
+        out, ok = np.zeros((len(x), _FIELD), np.uint8), np.zeros(len(x), bool)
+        out[at], ok[at] = _shortest(x[at], e[at])
+    slow = np.flatnonzero(~ok)
+    if len(slow):
+        text = np.array([repr(v) for v in x[slow].tolist()], f"S{_FIELD}")
+        out[slow] = text.view(np.uint8).reshape(-1, _FIELD)
+    return out
+
+
+_SPEC = re.compile(r"(\{\}|%[^a-z]*[a-z])")
+
+
 def _write_rows(file, header: str, blocks) -> None:
-    """Write ``header``, then one ``row % values`` line per entry of each
-    ``(row, columns, length)`` block, ``values`` being the entry's value in
-    each of the equal-length ``columns``; ``file`` is a path (opened with
-    ``newline=""``) or an open text file.  One ``%`` fills ``_ROWS`` rows of
-    ``tolist()`` values, so ``%r`` prints ``repr(float)``.  A ``{}`` in ``row``
-    is the entry's rank as a ``length``-bit key, set into the chunk's format
-    string laid out as uint8 rows; text baked into ``row`` holds no ``%``."""
+    """Write ``header``, then one line per entry of each ``(row, columns,
+    length)`` block: ``row`` with its ``%`` fields filled, in order, with the
+    entry's value in each of the equal-length ``columns``, and its ``{}``
+    with the entry's rank as a ``length``-bit key; the rest of ``row`` holds
+    no ``%``.  ``file`` is a path (opened with ``newline=""``) or an open
+    text file.  A ``%r`` field holds a float64 column and prints ``repr``,
+    through :func:`_repr_floats` in blocks of at least ``_FEW_ROWS`` rows;
+    any other field, and ``%r`` in smaller blocks, is ``%``-formatted one
+    value at a time.  Each write is about ``_CHUNK`` bytes of lines, laid
+    out as NUL-padded uint8 columns side by side, from which one
+    ``translate`` drops the padding."""
     if not hasattr(file, "write"):
         with open(file, "w", newline="") as f:
             return _write_rows(f, header, blocks)
     file.write(header)
     for row, columns, length in blocks:
-        columns = [np.asarray(c) for c in columns]
-        at = row.find("{}")
-        layout = np.frombuffer(row.replace("{}", "0" * length).encode("ascii"), np.uint8)
-        for lo in range(0, len(columns[0]) if columns else 0, _ROWS):
-            values = [c[lo:lo + _ROWS].tolist() for c in columns]
-            k = len(values[0])
-            if at < 0:
-                fmt = row * k
+        rows = len(columns[0]) if columns else 0
+        if not rows:
+            continue
+        cells, values = [], iter(columns)  # per part: text bytes, None for the key, or a field
+        for i, part in enumerate(_SPEC.split(row)):
+            if i % 2 == 0:
+                cells.append(np.frombuffer(part.encode("ascii"), np.uint8))
+            elif part == "{}":
+                cells.append(None)
             else:
-                text = np.tile(layout, (k, 1))
-                text[:, at:at + length] += rank_bits(lo, lo + k, length)
-                fmt = text.tobytes().decode("ascii")
-            flat = values[0] if len(values) == 1 else [v for e in zip(*values) for v in e]
-            file.write(fmt % tuple(flat))
+                dtype = np.float64 if part == "%r" else None
+                cells.append((part, np.asarray(next(values), dtype)))
+        width = sum(length if c is None else len(c) if isinstance(c, np.ndarray) else _FIELD
+                    for c in cells)
+        step = max(1, _CHUNK // width)
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            text = []
+            for c in cells:
+                if c is None:
+                    text.append(rank_bits(lo, hi, length) + np.uint8(48))
+                elif isinstance(c, np.ndarray):
+                    text.append(np.broadcast_to(c, (hi - lo, len(c))))
+                elif c[0] == "%r" and rows >= _FEW_ROWS:
+                    text.append(_repr_floats(c[1][lo:hi]))
+                else:
+                    cell = np.array([c[0] % v for v in c[1][lo:hi].tolist()], "S")
+                    text.append(cell.view(np.uint8).reshape(hi - lo, -1))
+            text = np.concatenate(text, axis=1).tobytes().translate(None, b"\0")
+            file.write(text.decode("ascii"))
 
 
 def _decode_ascii(data: bytes, skip: bytes = b"") -> bytes:

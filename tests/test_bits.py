@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debias import (BitFormatError, BitString, QaryString, ValidationError,
-                    parse_bits, serialize_bits)
+from debias import (BitFormatError, BitString, DriftingSource, DriftParams,
+                    QaryString, ValidationError, parse_bits, sample, serialize_bits)
+from debias.bits import _E2, _repr_floats
 from string_oracles import count_bits
 
 
@@ -148,3 +149,68 @@ def test_qary_string():
         QaryString([0], q=1)
     with pytest.raises(ValidationError):
         QaryString.from_letters("abd", "abc")
+
+
+def _repr_lines(x) -> list:
+    """The package's repr of each float of ``x``: its padded fields, one per
+    line, with the padding dropped."""
+    text = np.concatenate([_repr_floats(x), np.full((len(x), 1), ord("\n"), np.uint8)], 1)
+    return text.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def _assert_repr(values) -> None:
+    x = np.asarray(values, dtype=np.float64)
+    want = [repr(v) for v in x.tolist()]
+    got = _repr_lines(x)
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def test_repr_floats_random_bit_patterns():
+    rng = np.random.default_rng(12)
+    _assert_repr(rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64))
+    # random patterns with the exponent in and just around the fast range,
+    # so that nearly every value takes the integer route rather than repr
+    n = 300_000
+    exps = rng.integers(1023 + _E2[0] - 2, 1023 + _E2[-1] + 3, n).astype(np.uint64)
+    mant = rng.integers(0, 2**53, n, dtype=np.uint64)  # the top bit is the sign
+    _assert_repr((exps << np.uint64(52) | mant & np.uint64(2**52 - 1)
+                  | (mant >> np.uint64(52)) << np.uint64(63)).view(np.float64))
+
+
+def test_repr_floats_powers_of_two_and_ten():
+    # a power of two has a lower gap half the upper one; 10^k is the shortest
+    # decimal for itself and sometimes for a neighbour
+    for base in (np.ldexp(1.0, np.arange(-60, 61)), 10.0 ** np.arange(-20, 21)):
+        for x in (base, -base):
+            _assert_repr(np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, 2 * x)]))
+
+
+def test_repr_floats_short_decimals():
+    # decimals of 1..17 digits, whose shortest form drops trailing zeros
+    rng = np.random.default_rng(13)
+    v = rng.uniform(-1, 1, 6000) * 10.0 ** rng.integers(-15, 17, 6000)
+    _assert_repr([float(f"{a:.{d}g}") for a in v.tolist() for d in range(1, 18)])
+
+
+def test_repr_floats_special_values_and_fast_range_edges():
+    edges = [2.0 ** _E2[0], 2.0 ** (_E2[-1] + 1), 1e-14, 1e15, 1e-4, 1e16]
+    near = [np.nextafter(e, t) for e in edges for t in (0, np.inf)]
+    x = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan,
+         1.7976931348623157e308, 0.1, 0.5, 1.0, 123.0, 1e-05, 9.5, 0.3] + edges + near
+    _assert_repr(x + [-v for v in x])
+    assert _repr_lines(np.array([0.0, -0.0, np.nan, -np.inf, 2.0 ** -41])) == \
+        ["0.0", "-0.0", "nan", "-inf", "4.547473508864641e-13"]
+    assert _repr_lines(np.array([])) == []
+
+
+def test_repr_floats_walk_trace():
+    spec = DriftingSource(DriftParams(0.55, 0.05, 1e-4), trajectory="walk")
+    _, trace = sample(spec, 10**6, seed=14)
+    _assert_repr(trace.epsilons)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+def test_repr_floats_property(values):
+    _assert_repr(values)

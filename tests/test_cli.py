@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import subprocess
@@ -6,12 +7,15 @@ import sys
 import numpy as np
 import pytest
 
-from debias import (BitString, ConstantSource, borel_counts, bounds, cli,
-                    empirical_block_dist, normalized_dist, parity_normalize,
-                    parse_bits, peres_normalize, sample, serialize_bits,
-                    total_variation, tv_bound_exact, uniform_dist,
+from debias import (BitString, ConstantSource, DriftingSource, DriftParams,
+                    MarkovExperiment, borel_counts, bounds, cli, empirical_block_dist,
+                    exact_source_dist, normalized_dist, parity_normalize, parse_bits,
+                    peres_normalize, run_markov_experiment, sample, serialize_bits,
+                    sweep, total_variation, tv_bound_exact, uniform_dist,
                     vn_normalize, write_borel_csv)
 from debias.cli import DEFAULT_SEED, build_parser, run
+from string_oracles import (borel_csv, borel_table, csv_writer_table, markov_csv,
+                            sweep_csv, trace_text)
 
 
 def read_bits(path, fmt="ascii"):
@@ -213,6 +217,49 @@ def test_markov_odd_n(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 2 and lines[1].split(",")[3] == "17"
     assert "accepted" in capsys.readouterr().err
+
+
+def test_every_writer_matches_its_oracle_at_small_chunks(monkeypatch, tmp_path,
+                                                        capsysbinary):
+    # 300-byte chunks put seams inside every output below (1 to 6 rows a
+    # chunk); the dist table is mostly below the integer route's range, so
+    # most of its rows go to repr in batches
+    monkeypatch.setattr("debias.bits._CHUNK", 300)
+    argv = ["dist", "--source", "constant", "--p0", "1e-30", "-n", "10"]
+    assert run(argv) == 0
+    buf = io.StringIO()
+    csv_writer_table(exact_source_dist(ConstantSource(1e-30), 10), buf)
+    want = buf.getvalue()
+    assert capsysbinary.readouterr().out == want.encode()
+    assert run(argv + ["-o", str(tmp_path / "dist.csv")]) == 0
+    assert (tmp_path / "dist.csv").read_bytes() == want.encode()
+
+    walk = ["--source", "drifting", "--p0", "0.55", "--beta", "0.05", "--delta", "1e-4",
+            "--trajectory", "walk"]
+    assert run(["generate", *walk, "-n", "3000", "--seed", "9", "-o", str(tmp_path / "w.txt"),
+                "--trace-out", str(tmp_path / "trace.txt")]) == 0
+    _, trace = sample(DriftingSource(DriftParams(0.55, 0.05, 1e-4), trajectory="walk"), 3000,
+                      seed=9)
+    assert (tmp_path / "trace.txt").read_bytes() == trace_text(trace).encode()
+
+    assert run(["analyze", "-i", str(tmp_path / "w.txt"), "--max-m", "4",
+                "--csv", str(tmp_path / "borel.csv")]) == 0
+    bits = read_bits(tmp_path / "w.txt")
+    reports = [borel_counts(bits, m) for m in range(1, 5)]
+    assert (tmp_path / "borel.csv").read_bytes() == borel_csv(reports).encode()
+    out = capsysbinary.readouterr().out.decode()
+    assert all(borel_table(r) + "\n" in out for r in reports)
+
+    assert run(["sweep", "--m-list", "2,100", "--alpha-min", "1e-4", "--alpha-max", "0.1",
+                "--points", "3"]) == 0
+    rows = sweep([2, 100], np.logspace(-4, -1, 3))
+    assert capsysbinary.readouterr().out == sweep_csv(rows).encode()
+
+    assert run(["markov", "--k", "1", "--kappa", "0.05", "--m", "2", "-n", "12",
+                "--samples", "500", "--seed", "5"]) == 0
+    result = run_markov_experiment(MarkovExperiment(k=1, kappa=0.05, m=2, n=12,
+                                                    samples=500, seed=5))
+    assert capsysbinary.readouterr().out == markov_csv([result]).encode()
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -395,14 +395,31 @@ def test_csv_matches_csv_writer_oracle(tmp_path):
 
 
 def test_csv_chunk_seams(monkeypatch):
-    # a 5-row chunk puts seams inside every table from length 3 up
-    monkeypatch.setattr("debias.bits._ROWS", 5)
+    # 250-byte chunks of 51 + n-byte padded rows: 4 rows, so seams fall
+    # inside every table from length 3 up; from length 8 up the probabilities
+    # go through _repr_floats
+    monkeypatch.setattr("debias.bits._CHUNK", 250)
     rng = np.random.default_rng(32)
-    for n in range(8):
+    for n in range(10):
         for table in _csv_tables(n, rng):
             buf = io.StringIO()
             table.to_csv(buf)
             assert buf.getvalue() == _oracle_csv(table), n
+
+
+def test_csv_mostly_repr_fallback(monkeypatch, tmp_path):
+    # p0 = 1e-30 puts every row but one far below the integer route's range
+    # (down to 0.0 by underflow), so repr writes them, in one batch per
+    # 4-row chunk; written to a path and to an open text file
+    monkeypatch.setattr("debias.bits._CHUNK", 250)
+    table = exact_source_dist(ConstantSource(1e-30), 12)
+    want = _oracle_csv(table).encode()
+    assert want.count(b"e-") > 4000 and b",0.0\r\n" in want
+    table.to_csv(tmp_path / "path.csv")
+    with open(tmp_path / "file.csv", "w", newline="") as f:
+        table.to_csv(f)
+    assert (tmp_path / "path.csv").read_bytes() == want
+    assert (tmp_path / "file.csv").read_bytes() == want
 
 
 def test_csv_through_cli_stdout(capsysbinary):

@@ -200,9 +200,10 @@ def test_markov_csv():
 
 
 def test_markov_csv_matches_csv_writer_oracle(monkeypatch, tmp_path):
-    # seven results cross a 5-row chunk seam; a None tv_exact is an empty
-    # field and a NaN tv_empirical (no accepted trial) prints as nan
-    monkeypatch.setattr("debias.bits._ROWS", 5)
+    # seven results cross 2-row chunk seams (1000 bytes of 393-byte padded
+    # rows); a None tv_exact is an empty field and a NaN tv_empirical (no
+    # accepted trial) prints as nan
+    monkeypatch.setattr("debias.bits._CHUNK", 1000)
     results = [MarkovResult(k=i % 3, kappa=0.05 * i, m=2, n=10 + i,
                             tv_exact=None if i % 2 else 0.01 / (i + 1),
                             tv_empirical=math.nan if i == 3 else 0.1 / (i + 1),

@@ -403,10 +403,27 @@ def test_trace_save_writes_one_repr_per_line(tmp_path):
 
 
 def test_trace_save_matches_repr_oracle(monkeypatch, tmp_path):
-    # 5-row chunk seams, repr's exponent forms, a negative zero, a subnormal
-    # and an empty trace
-    monkeypatch.setattr("debias.bits._ROWS", 5)
-    for eps in ([-0.0, 5e-324, 1e16, 1 / 3, 1e-05, -2.5e-07, 0.1, 1e22], [], [0.0]):
+    # 5-row chunk seams (250 bytes of 49-byte padded rows), repr's exponent
+    # forms, a negative zero, a subnormal and an empty trace; the 320-offset
+    # trace is long enough for _repr_floats, the 8-offset one is not
+    monkeypatch.setattr("debias.bits._CHUNK", 250)
+    special = [-0.0, 5e-324, 1e16, 1 / 3, 1e-05, -2.5e-07, 0.1, 1e22]
+    for eps in (special * 40, special, [], [0.0]):
         trace = DriftTrace(eps)
         trace.save(tmp_path / "t.txt")
         assert (tmp_path / "t.txt").read_bytes() == trace_text(trace).encode()
+
+
+def test_trace_save_mostly_repr_fallback_to_an_open_file(monkeypatch, tmp_path):
+    # offsets near 1e-300 are outside the integer route and go to repr in one
+    # batch per chunk; a few ordinary ones sit between them, across the
+    # 5-row seams, and the file is an open text file rather than a path
+    monkeypatch.setattr("debias.bits._CHUNK", 250)
+    rng = np.random.default_rng(15)
+    eps = rng.uniform(-1, 1, 400) * 10.0 ** rng.integers(-310, -290, 400)
+    eps[::7] = rng.uniform(-0.05, 0.05, 58)
+    trace = DriftTrace(eps)
+    with open(tmp_path / "t.txt", "w", newline="") as f:
+        trace.save(f)
+    assert (tmp_path / "t.txt").read_bytes() == trace_text(trace).encode()
+    assert DriftTrace.load(tmp_path / "t.txt") == trace

@@ -63,9 +63,11 @@ def test_borel_report_deviations():
 
 
 def test_borel_csv_and_table_match_oracles(monkeypatch, tmp_path):
-    # 5-row chunks put seams inside every report from m = 3 up; from m = 9
-    # the block column is wider than its 8-character header and has no padding
-    monkeypatch.setattr("debias.bits._ROWS", 5)
+    # 500-byte chunks hold 2 or 3 CSV rows and 4 table lines, so seams fall
+    # inside every report's CSV rows from m = 2 up and table from m = 3 up;
+    # from m = 9 the block column is wider than its 8-character header and
+    # has no padding
+    monkeypatch.setattr("debias.bits._CHUNK", 500)
     rng = np.random.default_rng(41)
     x = BitString.from_array((rng.random(3000) < 0.55).astype(np.uint8))
     for mode in ("non-overlapping", "overlapping"):
@@ -196,8 +198,9 @@ def test_write_sweep_csv(tmp_path):
 
 
 def test_sweep_csv_matches_csv_writer_oracle(monkeypatch, tmp_path):
-    # a NaN linear column below m = 3, 5-row chunk seams, and a header-only file
-    monkeypatch.setattr("debias.bits._ROWS", 5)
+    # a NaN linear column below m = 3, 2-row chunk seams (500 bytes of
+    # 246-byte padded rows), and a header-only file
+    monkeypatch.setattr("debias.bits._CHUNK", 500)
     rows = sweep([1, 2, 3, 100], np.logspace(-6, -0.5, 4))
     for points in (rows, []):
         buf = io.StringIO()
