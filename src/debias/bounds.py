@@ -14,16 +14,17 @@ The incomplete beta evaluator follows the classic continued-fraction scheme
 1e-14 step tolerance).  Binomial log-pmfs use a scalar saddle-point expansion
 (Stirling-error series plus a stable deviance term; Loader 2000) rather than
 raw lgamma differences, which keeps results accurate to ~1e-13 even at
-n = 10**6; the same expansion supplies the continued fraction's front factor
-for integer parameters.  The binomial CDF is I_{1-p}(n-k, k+1) through
-:func:`reg_inc_beta`.  Each quantity has this one route; the slow
-independent routes (tail and half sums, grid search, sign-pattern
-enumeration) are test oracles and are not part of the package.
+n = 10**6; the same expansion, at real arguments, supplies the continued
+fraction's front factor for every shape.  The binomial CDF is
+I_{1-p}(n-k, k+1) through :func:`reg_inc_beta`.  Each quantity has this one
+route; the slow independent routes (tail and half sums, grid search,
+sign-pattern enumeration) are test oracles and are not part of the package.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 from .errors import ConvergenceError, ValidationError
 from .sources import DriftParams
@@ -31,17 +32,11 @@ from .sources import DriftParams
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _CALIBRATE_TOL = 1e-10  # width of calibrate_alpha's final bisection bracket
 
-# exact Stirling-series remainders log n! - ((n+1/2)log n - n + log sqrt(2 pi))
-# for n = 1..15; index 0 unused
-_STIRLERR_SMALL = [0.0] + [
-    math.lgamma(n + 1) - ((n + 0.5) * math.log(n) - n + _LOG_SQRT_2PI)
-    for n in range(1, 16)]
 
-
-def _stirlerr(n: int) -> float:
-    """Stirling-series remainder of log n!; n >= 1."""
+def _stirlerr(n: float) -> float:
+    """log Gamma(n+1) - ((n+1/2) log n - n + log sqrt(2 pi)); any real n > 0."""
     if n < 16:
-        return _STIRLERR_SMALL[int(n)]
+        return math.lgamma(n + 1) - ((n + 0.5) * math.log(n) - n + _LOG_SQRT_2PI)
     nn = float(n) * n
     return (1.0 / 12.0
             - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * nn)) / nn) / nn) / n
@@ -65,8 +60,8 @@ def _bd0(x: float, m: float) -> float:
         j += 1
 
 
-def _log_pmf(n: int, k: int, p: float) -> float:
-    """log P(Bin(n, p) = k), saddle-point accurate for any n; 0 <= k <= n."""
+def _log_pmf(n: float, k: float, p: float) -> float:
+    """log P(Bin(n, p) = k), saddle-point accurate for any n; real 0 <= k <= n."""
     if p <= 0.0:
         return 0.0 if k == 0 else -math.inf
     if p >= 1.0:
@@ -120,21 +115,20 @@ def _betacf(a: float, b: float, x: float, cap: int = 500, tol: float = 1e-14) ->
 
 
 def _front_over_a(x: float, a: float, b: float) -> float:
-    """x^a (1-x)^b / (a * B(a,b)), via the saddle-point pmf when a,b are integers."""
-    if float(a).is_integer() and float(b).is_integer():
-        # equals (1-x) * P(Bin(a+b-1, x) = a)
-        return (1.0 - x) * math.exp(_log_pmf(int(a) + int(b) - 1, int(a), x))
-    lnbt = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-            + a * math.log(x) + b * math.log1p(-x))
-    return math.exp(lnbt) / a
+    """x^a (1-x)^b / (a * B(a,b)), through the saddle-point pmf for any shapes."""
+    if b >= 1.0:
+        # (1-x) P(Bin(a+b-1, x) = a); b - 1 first, as a + b - 1 can round below a
+        return (1.0 - x) * math.exp(_log_pmf(a + (b - 1), a, x))
+    # b/(a+b) P(Bin(a+b, x) = a); at b = 1 it gives I_{1/2}(1,1) = 0.5000000000000002
+    return b / (a + b) * math.exp(_log_pmf(a + b, a, x))
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b) to ~1e-13 absolute accuracy."""
     if not 0.0 <= x <= 1.0:
         raise ValidationError(f"x must lie in [0,1], got {x}")
-    if a <= 0.0 or b <= 0.0:
-        raise ValidationError(f"shape parameters must be positive, got a={a}, b={b}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # NaN fails too
+        raise ValidationError(f"shapes must be positive and finite, got a={a}, b={b}")
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -144,11 +138,17 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return 1.0 - _front_over_a(1.0 - x, b, a) * _betacf(b, a, 1.0 - x)
 
 
+def _block_length(name: str, m, least: int = 1) -> int:
+    """``m`` as an int (a numpy uint overflows on ``-m``); raises below ``least``."""
+    if not (isinstance(m, numbers.Integral) and m >= least):
+        raise ValidationError(f"{name} must be an integer >= {least}, got {m!r}")
+    return int(m)
+
+
 def crossing_index(n: int, p: float, x: float) -> int:
     """The count at which the pmfs of Bin(n,p) and Bin(n,p+x) cross; lies
     between ceil(n p) and ceil(n (p+x))."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = _block_length("n", n)
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must lie in (0,1), got {p}")
     q = 1.0 - p
@@ -164,8 +164,7 @@ def crossing_index(n: int, p: float, x: float) -> int:
 def binom_tv(n: int, p: float, x: float) -> float:
     """Total variation between Bin(n, p) and Bin(n, p+x), via the incomplete
     beta difference at the crossing index."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = _block_length("n", n)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0,1], got {p}")
     if not 0.0 <= x <= 1.0 - p:
@@ -184,8 +183,7 @@ def binom_tv(n: int, p: float, x: float) -> float:
 def tv_bound_exact(m: int, alpha: float) -> float:
     """Worst-case distance from uniform over m-bit blocks at asymmetry alpha:
     the total variation between Bin(m, 1/2) and Bin(m, (1+alpha)/2)."""
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
+    m = _block_length("m", m)
     if not 0.0 <= alpha < 1.0:
         raise ValidationError(f"alpha must lie in [0,1), got {alpha}")
     return binom_tv(m, 0.5, 0.5 * alpha)
@@ -193,8 +191,7 @@ def tv_bound_exact(m: int, alpha: float) -> float:
 
 def tv_bound_naive(m: int, alpha: float) -> float:
     """Crude exponential bound ((1+alpha)^m - 1) / 2; may exceed 1."""
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
+    m = _block_length("m", m)
     if not 0.0 <= alpha < 1.0:
         raise ValidationError(f"alpha must lie in [0,1), got {alpha}")
     t = m * math.log1p(alpha)
@@ -210,8 +207,7 @@ def _check_finite_nonnegative(name: str, v: float) -> None:
 
 def naive_alpha_for_rho(m: int, rho: float) -> float:
     """Inverse of the crude bound: (1+2 rho)^{1/m} - 1; raises past alpha = 1."""
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
+    m = _block_length("m", m)
     _check_finite_nonnegative("rho", rho)
     return _alpha_at_most_one(m, rho, math.expm1(math.log1p(2.0 * rho) / m))
 
@@ -226,8 +222,7 @@ def _alpha_at_most_one(m: int, rho: float, alpha: float) -> float:
 
 
 def _linear_slope(m: int) -> float:
-    if m < 3:
-        raise ValidationError(f"the linear bound needs m >= 3, got {m}")
+    m = _block_length("m", m, 3)  # the linear bound's own domain
     return math.sqrt((m + 1) / (2.0 * math.pi * (1.0 - 2.0 / m)))
 
 

@@ -139,6 +139,15 @@ def test_log_pmf_matches_vectorized_oracle():
             assert abs(got - w) <= 4 * math.ulp(scale), (n, k, p, got, w)
 
 
+def test_stirlerr_recurrence_at_real_arguments():
+    # log Gamma(n+2) - log Gamma(n+1) = log(n+1).  15.5 -> 16.5 crosses from
+    # the lgamma form to the series, whose first omitted term, 1/(1188 n^9),
+    # is 9.2e-15 at 16.5; there the sum of both errors is 1.4e-14
+    for n, tol in ((0.5, 1e-14), (2.5, 1e-14), (7.25, 1e-14), (15.5, 2e-14)):
+        step = (n + 0.5) * math.log(n / (n + 1)) + 1.0
+        assert abs(bounds._stirlerr(n + 1) - bounds._stirlerr(n) - step) <= tol, n
+
+
 def test_reg_inc_beta_trivial_and_closed_forms():
     assert reg_inc_beta(0.5, 1, 1) == 0.5
     assert reg_inc_beta(0.5, 1, 2) == pytest.approx(0.75, abs=1e-13)
@@ -170,6 +179,19 @@ def test_reg_inc_beta_against_scipy():
         x = rng.uniform(0.0, 1.0)
         assert reg_inc_beta(x, a, b) == pytest.approx(
             float(scipy_betainc(a, b, x)), abs=2e-12)
+    # large non-integer shapes, 6 and 3 sigma below the mean and 3 sigma above
+    shapes = [(10**k + 0.5, 10**k + 0.5) for k in range(4, 9)]
+    shapes.append((3 * 10**7 + 0.25, 10**7 + 0.75))
+    cases = []
+    for a, b in shapes:
+        mu = a / (a + b)
+        sigma = math.sqrt(a * b / (a + b + 1)) / (a + b)
+        cases += [(a, b, mu + z * sigma) for z in (-6, -3, 3)]
+    # b - 1 must be grouped first: a + b - 1 rounds below a = 0.001
+    cases += [(0.001, 1.0, x) for x in (0.1, 0.5, 0.9)]
+    for a, b, x in cases:
+        assert reg_inc_beta(x, a, b) == pytest.approx(
+            float(scipy_betainc(a, b, x)), abs=1e-14), (a, b, x)
 
 
 def test_reg_inc_beta_validation():
@@ -177,6 +199,10 @@ def test_reg_inc_beta_validation():
         reg_inc_beta(1.5, 1, 1)
     with pytest.raises(ValidationError):
         reg_inc_beta(0.5, 0, 1)
+    for x, a, b in ((0.5, math.nan, 1), (0.5, 1, math.nan), (0.5, math.inf, 1),
+                    (0.3, 1, math.inf)):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            reg_inc_beta(x, a, b)
 
 
 def test_convergence_error_carries_parameters():
@@ -315,6 +341,23 @@ def test_finite_nonnegative_inputs_required(bad):
     for call in calls:
         with pytest.raises(ValidationError, match="must be finite and >= 0"):
             call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, 2.0, 0, np.int64(-1)])
+def test_block_length_must_be_a_positive_integer(bad):
+    calls = [lambda: crossing_index(bad, 0.5, 0.1), lambda: binom_tv(bad, 0.5, 0.1),
+             lambda: tv_bound_exact(bad, 0.1), lambda: calibrate_alpha(bad, 0.1),
+             lambda: tv_bound_naive(bad, 0.1), lambda: naive_alpha_for_rho(bad, 0.1),
+             lambda: linear_bound(bad, 0.1), lambda: linear_alpha_for_rho(bad, 0.1)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="must be an integer >= "):
+            call()
+
+
+def test_block_length_takes_numpy_integers():
+    assert tv_bound_exact(np.int64(2), 0.2) == tv_bound_exact(2, 0.2)
+    assert crossing_index(np.uint32(100), 0.5, 0.05) == 53
+    assert linear_bound(np.int32(100), 0.01) == linear_bound(100, 0.01)
 
 
 def test_bound_ordering():
