@@ -24,7 +24,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import BitFormatError, ValidationError
+from .errors import BitFormatError, ValidationError, _integer
 
 FORMATS = ("ascii", "packed")
 
@@ -281,8 +281,8 @@ class BitString:
     @classmethod
     def from_int(cls, value: int, length: int) -> "BitString":
         """The ``length``-bit string whose MSB-first value is ``value``."""
-        if length < 0 or value < 0 or value >= 1 << length:
-            raise ValidationError(f"value {value} does not fit in {length} bits")
+        length = _integer("length", length, 0)
+        value = _integer("value", value, 0, (1 << length) - 1)
         return cls._of(_decode_ascii(format_bits(value, length).encode("ascii")))
 
     def to_array(self) -> np.ndarray:
@@ -335,19 +335,20 @@ class BitString:
 
 
 class QaryString:
-    """In-memory sequence over a Q-letter alphabet, symbols stored as codes 0..Q-1."""
+    """Sequence over a Q-letter alphabet, held as a read-only copy of codes 0..Q-1."""
 
     __slots__ = ("symbols", "q")
 
     def __init__(self, symbols, q: int):
-        if q < 2:
-            raise ValidationError(f"alphabet size must be >= 2, got {q}")
-        arr = np.asarray(list(symbols) if not isinstance(symbols, np.ndarray) else symbols,
-                         dtype=np.int64)
+        q = _integer("alphabet size", q, 2)
+        arr = np.asarray(symbols if isinstance(symbols, np.ndarray) else list(symbols))
+        if arr.size and arr.dtype.kind not in "biu":  # a float code, NaN too, is no symbol
+            raise ValidationError(f"symbol codes must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.int64)  # a copy, whatever the input's dtype
         if arr.size and (arr.min() < 0 or arr.max() >= q):
             raise ValidationError(f"symbol code out of range for alphabet size {q}")
+        arr.flags.writeable = False
         self.symbols = arr
-        self.symbols.flags.writeable = False
         self.q = q
 
     @classmethod

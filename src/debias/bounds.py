@@ -24,9 +24,8 @@ sign-pattern enumeration) are test oracles and are not part of the package.
 from __future__ import annotations
 
 import math
-import numbers
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, _integer, _interval
 from .sources import DriftParams
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -38,8 +37,8 @@ def _stirlerr(n: float) -> float:
     if n < 16:
         return math.lgamma(n + 1) - ((n + 0.5) * math.log(n) - n + _LOG_SQRT_2PI)
     nn = float(n) * n
-    return (1.0 / 12.0
-            - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * nn)) / nn) / nn) / n
+    inner = 1.0 / 1260.0 - (1.0 / 1680.0 - 1.0 / (1188.0 * nn)) / nn
+    return (1.0 / 12.0 - (1.0 / 360.0 - inner / nn) / nn) / n
 
 
 def _bd0(x: float, m: float) -> float:
@@ -125,10 +124,9 @@ def _front_over_a(x: float, a: float, b: float) -> float:
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b) to ~1e-13 absolute accuracy."""
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"x must lie in [0,1], got {x}")
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # NaN fails too
-        raise ValidationError(f"shapes must be positive and finite, got a={a}, b={b}")
+    _interval("x", x, 0, 1, "[]")
+    _interval("shape a", a, 0, math.inf)
+    _interval("shape b", b, 0, math.inf)
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -138,22 +136,13 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return 1.0 - _front_over_a(1.0 - x, b, a) * _betacf(b, a, 1.0 - x)
 
 
-def _block_length(name: str, m, least: int = 1) -> int:
-    """``m`` as an int (a numpy uint overflows on ``-m``); raises below ``least``."""
-    if not (isinstance(m, numbers.Integral) and m >= least):
-        raise ValidationError(f"{name} must be an integer >= {least}, got {m!r}")
-    return int(m)
-
-
 def crossing_index(n: int, p: float, x: float) -> int:
     """The count at which the pmfs of Bin(n,p) and Bin(n,p+x) cross; lies
     between ceil(n p) and ceil(n (p+x))."""
-    n = _block_length("n", n)
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"p must lie in (0,1), got {p}")
+    n = _integer("n", n, 1)
+    _interval("p", p, 0, 1)
     q = 1.0 - p
-    if not 0.0 < x <= q:
-        raise ValidationError(f"x must lie in (0, 1-p], got {x}")
+    _interval("x", x, 0, q, "(]")
     if x == q:
         return n
     num = -n * math.log1p(-x / q)
@@ -164,11 +153,9 @@ def crossing_index(n: int, p: float, x: float) -> int:
 def binom_tv(n: int, p: float, x: float) -> float:
     """Total variation between Bin(n, p) and Bin(n, p+x), via the incomplete
     beta difference at the crossing index."""
-    n = _block_length("n", n)
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"p must lie in [0,1], got {p}")
-    if not 0.0 <= x <= 1.0 - p:
-        raise ValidationError(f"x must lie in [0, 1-p], got {x}")
+    n = _integer("n", n, 1)
+    _interval("p", p, 0, 1, "[]")
+    _interval("x", x, 0, 1.0 - p, "[]")
     if x == 0.0:
         return 0.0
     if p == 0.0:
@@ -183,32 +170,25 @@ def binom_tv(n: int, p: float, x: float) -> float:
 def tv_bound_exact(m: int, alpha: float) -> float:
     """Worst-case distance from uniform over m-bit blocks at asymmetry alpha:
     the total variation between Bin(m, 1/2) and Bin(m, (1+alpha)/2)."""
-    m = _block_length("m", m)
-    if not 0.0 <= alpha < 1.0:
-        raise ValidationError(f"alpha must lie in [0,1), got {alpha}")
+    m = _integer("m", m, 1)
+    _interval("alpha", alpha, 0, 1, "[)")
     return binom_tv(m, 0.5, 0.5 * alpha)
 
 
 def tv_bound_naive(m: int, alpha: float) -> float:
     """Crude exponential bound ((1+alpha)^m - 1) / 2; may exceed 1."""
-    m = _block_length("m", m)
-    if not 0.0 <= alpha < 1.0:
-        raise ValidationError(f"alpha must lie in [0,1), got {alpha}")
+    m = _integer("m", m, 1)
+    _interval("alpha", alpha, 0, 1, "[)")
     t = m * math.log1p(alpha)
     if t > 700.0:
         return math.inf
     return 0.5 * math.expm1(t)
 
 
-def _check_finite_nonnegative(name: str, v: float) -> None:
-    if not 0.0 <= v < math.inf:  # NaN fails too
-        raise ValidationError(f"{name} must be finite and >= 0, got {v}")
-
-
 def naive_alpha_for_rho(m: int, rho: float) -> float:
     """Inverse of the crude bound: (1+2 rho)^{1/m} - 1; raises past alpha = 1."""
-    m = _block_length("m", m)
-    _check_finite_nonnegative("rho", rho)
+    m = _integer("m", m, 1)
+    _interval("rho", rho, 0, math.inf, "[)")
     return _alpha_at_most_one(m, rho, math.expm1(math.log1p(2.0 * rho) / m))
 
 
@@ -222,22 +202,21 @@ def _alpha_at_most_one(m: int, rho: float, alpha: float) -> float:
 
 
 def _linear_slope(m: int) -> float:
-    m = _block_length("m", m, 3)  # the linear bound's own domain
+    m = _integer("m", m, 3)  # the linear bound's own domain
     return math.sqrt((m + 1) / (2.0 * math.pi * (1.0 - 2.0 / m)))
 
 
 def linear_bound(m: int, alpha: float) -> float:
     """First-order bound alpha * sqrt((m+1) / (2 pi (1 - 2/m))); m >= 3."""
-    _check_finite_nonnegative("alpha", alpha)
-    if alpha >= 1.0:
-        raise ValidationError(f"alpha must lie in [0,1), got {alpha}")
+    _interval("alpha", alpha, 0, math.inf, "[)")  # nan and inf: "must be finite"
+    _interval("alpha", alpha, 0, 1, "[)")
     return alpha * _linear_slope(m)
 
 
 def linear_alpha_for_rho(m: int, rho: float) -> float:
     """Inverse of the linear bound: rho * sqrt(2 pi (1 - 2/m) / (m+1)); raises
     past alpha = 1."""
-    _check_finite_nonnegative("rho", rho)
+    _interval("rho", rho, 0, math.inf, "[)")
     return _alpha_at_most_one(m, rho, rho / _linear_slope(m))
 
 
@@ -257,8 +236,7 @@ def calibrate_alpha(m: int, rho: float) -> float:
     bisection's final width ``_CALIBRATE_TOL``; the bisection's midpoints are
     then replayed, and only one strictly inside (a, b) is evaluated.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValidationError(f"rho must lie in (0,1), got {rho}")
+    _interval("rho", rho, 0, 1)
     hi = 1.0 - 1e-9
     if tv_bound_exact(m, hi) <= rho:
         return hi
@@ -293,12 +271,10 @@ def calibrate_alpha(m: int, rho: float) -> float:
 def calibrate_delta(p0: float, beta: float, alpha: float) -> float:
     """Drift speed delta at which the worst-case asymmetry reaches alpha,
     inverting the :func:`alpha_max` closed form for fixed p0 and beta."""
-    if not 0.0 < p0 < 1.0:
-        raise ValidationError(f"p0 must lie in (0,1), got {p0}")
+    _interval("p0", p0, 0, 1)
     p1 = 1.0 - p0
-    if not 0.0 <= beta < min(p0, p1):
-        raise ValidationError(f"beta must lie in [0, min(p0,p1)), got {beta}")
-    _check_finite_nonnegative("alpha", alpha)
+    _interval("beta", beta, 0, min(p0, p1), "[)")
+    _interval("alpha", alpha, 0, math.inf, "[)")
     gap = abs(p0 - p1)
     num = 2.0 * alpha * (p0 * p1 - beta * beta - gap * beta)
     den = 1.0 - 2.0 * alpha * (beta + 0.5 * gap)
@@ -324,8 +300,7 @@ def u_value(p0: float, eps: float, gamma: float) -> float:
         "p0 - eps - gamma": p0 - eps - gamma,
     }
     for name, v in factors.items():
-        if not 0.0 < v < 1.0:
-            raise ValidationError(f"factor {name} = {v!r} outside (0,1)")
+        _interval(f"factor {name}", v, 0, 1)
     den = ((p0 - eps) * (p1 + eps + gamma) + (p1 + eps) * (p0 - eps - gamma))
     if den <= 0.0:
         raise ValidationError(f"unequal-pair mass {den!r} is not positive")

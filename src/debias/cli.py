@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
 
 from . import bounds, markov, normalize, sources, stats
 from .bits import parse_bits, serialize_bits
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, _integer, _interval
 from .exactdist import (MAX_ENUM_N, DistributionTable, exact_source_dist, normalized_dist,
                         total_variation, uniform_dist)
 
@@ -107,10 +108,7 @@ def cmd_analyze(args) -> int:
     the CSV is written and before anything is printed."""
     bits = _read_bits(args.input, args.format)
     limit = min(len(bits), MAX_ENUM_N)
-    if not 1 <= args.max_m <= limit:
-        raise ValidationError(
-            f"--max-m must lie in [1, {limit}] (the input length, and at most "
-            f"MAX_ENUM_N = {MAX_ENUM_N}), got {args.max_m}")
+    _integer("--max-m", args.max_m, 1, limit, f"min(input length, MAX_ENUM_N) = {limit}")
     reports = [stats.borel_counts(bits, m, args.mode) for m in range(1, args.max_m + 1)]
     if args.csv:
         stats.write_borel_csv(reports, args.csv)
@@ -172,10 +170,9 @@ def cmd_sweep(args) -> int:
                               f"got {args.m_list!r}") from None
     if not ms:
         raise ValidationError("--m-list is empty")
-    if args.alpha_min <= 0 or args.alpha_max <= args.alpha_min:
-        raise ValidationError("need 0 < alpha-min < alpha-max")
-    if args.points < 1:
-        raise ValidationError(f"--points must be >= 1, got {args.points}")
+    _interval("--alpha-min", args.alpha_min, 0, math.inf)
+    _interval("--alpha-max", args.alpha_max, args.alpha_min, math.inf)
+    _integer("--points", args.points, 1)
     alphas = np.logspace(np.log10(args.alpha_min), np.log10(args.alpha_max),
                          args.points)
     rows = stats.sweep(ms, alphas)

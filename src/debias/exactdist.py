@@ -16,19 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitString, _write_rows, format_bits
-from .errors import DegenerateSourceError, ValidationError
+from .errors import DegenerateSourceError, ValidationError, _integer, _interval
 from .sources import (ConstantSource, DriftingSource, MarkovSource, PairwiseSource,
                       SourceSpec)
 
 MAX_ENUM_N = 26
+_GUARD = f"the enumeration guard {MAX_ENUM_N}"
 _INDEPENDENCE_TOL = 1e-12  # absolute slack of check_independence
 
 
-def _check_enum_guard(n: int, what: str = "n") -> None:
-    if n < 0:
-        raise ValidationError(f"{what} must be >= 0, got {n}")
-    if n > MAX_ENUM_N:
-        raise ValidationError(f"{what} = {n} exceeds the enumeration guard {MAX_ENUM_N}")
+def _check_enum_guard(n: int, what: str = "n", least: int = 0) -> int:
+    """``n`` as an ``int`` from ``least`` to MAX_ENUM_N."""
+    return _integer(what, n, least, MAX_ENUM_N, _GUARD)
+
+
+def _enumerable(n: int, k: int, m: int) -> bool:
+    """Whether :func:`normalized_dist` fits the guard for an n-bit run, a k-bit
+    history and m output bits: n <= MAX_ENUM_N and k + m + 1 <= MAX_ENUM_N."""
+    return n <= MAX_ENUM_N and k + m + 1 <= MAX_ENUM_N
 
 
 class DistributionTable:
@@ -48,7 +53,7 @@ class DistributionTable:
         return table
 
     def _adopt(self, length: int, arr: np.ndarray) -> None:
-        _check_enum_guard(length, "table length")
+        length = _check_enum_guard(length, "table length")
         if len(arr) != 1 << length:
             raise ValidationError(
                 f"need {1 << length} probabilities for length {length}, got {len(arr)}")
@@ -74,9 +79,7 @@ class DistributionTable:
                 raise ValidationError(f"bad key {key!r} for table length {self.length}")
             idx = int(key, 2) if key else 0
         else:
-            idx = int(key)
-            if not 0 <= idx < len(self.probs):
-                raise ValidationError(f"rank {idx} out of range")
+            idx = _integer("rank", key, 0, len(self.probs) - 1)
         return float(self.probs[idx])
 
     def items(self):
@@ -125,7 +128,7 @@ class DistributionTable:
 
 def uniform_dist(m: int) -> DistributionTable:
     """Every length-m string gets 2**-m."""
-    _check_enum_guard(m, "m")
+    m = _check_enum_guard(m, "m")
     return DistributionTable._owning(m, np.full(1 << m, 0.5 ** m))
 
 
@@ -165,7 +168,7 @@ def exact_source_dist(spec: SourceSpec, n: int) -> DistributionTable:
     Drifting sources need a deterministic trajectory (sine, fixed, or
     adversarial); a random-walk trajectory has no fixed trace.
     """
-    _check_enum_guard(n)
+    n = _check_enum_guard(n)
     k, q = _pair_masses(spec, n)
     # prefix doubling by pairs; a prefix's history is the low k bits of its index
     probs = np.ones(1)
@@ -184,11 +187,10 @@ def normalized_dist(spec: SourceSpec, n: int, m: int) -> DistributionTable:
     A forward pass over the n//2 input pairs, whose state is the last k input
     bits times the output so far, guarded at k + m + 1 <= MAX_ENUM_N.
     """
-    _check_enum_guard(n)
-    if not 1 <= m <= n // 2:
-        raise ValidationError(f"need 1 <= m <= n/2, got m = {m}, n = {n}")
+    n = _check_enum_guard(n)
+    m = _integer("m", m, 1, n // 2)
     k, q = _pair_masses(spec, n)
-    if k + m + 1 > MAX_ENUM_N:
+    if not _enumerable(n, k, m):
         raise ValidationError(f"state of 2^{k + m + 1} entries exceeds the guard "
                               f"k + m + 1 <= {MAX_ENUM_N}")
     kk = max(k, 2)  # pad to 2 history bits, which each pair shifts out whole
@@ -242,9 +244,7 @@ def check_independence(table: DistributionTable):
     Scans k = 1..n and every k-bit prefix, comparing P(prefix) against
     P(prefix[:-1]) times the position-k bit marginal.
     """
-    n = table.length
-    if n > 16:
-        raise ValidationError(f"independence check guarded at length 16, got {n}")
+    n = _integer("table length", table.length, 0, 16, "the independence check's guard 16")
     probs = table.probs
     prev = np.ones(1)  # prefix marginals for k-1
     for k in range(1, n + 1):
@@ -263,9 +263,8 @@ def worst_case_product_dist(alpha: float, m: int, sign: int = 1) -> Distribution
     """Product measure where every bit is 0 with probability (1 + sign*alpha)/2;
     the i.i.d. source a worst-case drifting source collapses to after
     normalization."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValidationError(f"alpha must lie in [0,1), got {alpha}")
+    _interval("alpha", alpha, 0, 1, "[)")
     if sign not in (1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {sign}")
-    _check_enum_guard(m, "m")
+    m = _check_enum_guard(m, "m")
     return exact_source_dist(ConstantSource(0.5 * (1.0 + sign * alpha)), m)

@@ -19,9 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .bits import _write_rows, format_bits
-from .errors import ValidationError
-from .exactdist import (MAX_ENUM_N, DistributionTable, _check_enum_guard,
-                        normalized_dist, total_variation, uniform_dist)
+from .errors import _integer
+from .exactdist import (DistributionTable, _check_enum_guard, _enumerable, normalized_dist,
+                        total_variation, uniform_dist)
 from .sources import MarkovSource, check_markov_k
 
 
@@ -40,10 +40,10 @@ class MarkovExperiment:
 
     def __post_init__(self):
         check_markov_k(self.k)
-        if self.samples < 1:
-            raise ValidationError(f"need at least one trial, got {self.samples}")
-        if not 1 <= self.m <= self.n // 2:
-            raise ValidationError(f"need 1 <= m <= n/2, got m = {self.m}, n = {self.n}")
+        _integer("samples", self.samples, 1)
+        _integer("seed", self.seed, 0)
+        n = _integer("n", self.n, 2)
+        _integer("m", self.m, 1, n // 2)
         _check_enum_guard(self.m, "m")  # the 2^m-entry frequency table
 
 
@@ -63,7 +63,8 @@ class MarkovResult:
 def random_markov_source(k: int, kappa: float, p0: float, seed: int) -> MarkovSource:
     """A k-memory source whose conditional zero-probabilities are drawn
     uniformly from the kappa band around p0 (clipped inside (0,1))."""
-    rng = np.random.default_rng([seed, 0])
+    k = check_markov_k(k)  # before the 2^k-entry table
+    rng = np.random.default_rng([_integer("seed", seed, 0), 0])
     lo = max(p0 - kappa, 1e-12)
     hi = min(p0 + kappa, 1.0 - 1e-12)
     probs = rng.uniform(lo, hi, 1 << k).tolist() if kappa > 0 else [p0] * (1 << k)
@@ -100,9 +101,8 @@ def run_markov_experiment(exp: MarkovExperiment) -> MarkovResult:
     source = random_markov_source(exp.k, exp.kappa, exp.p0, exp.seed)
     uniform = uniform_dist(exp.m)
 
-    exact = exp.n <= MAX_ENUM_N and exp.k + exp.m + 1 <= MAX_ENUM_N
     tv_exact = (total_variation(normalized_dist(source, exp.n, exp.m), uniform)
-                if exact else None)
+                if _enumerable(exp.n, exp.k, exp.m) else None)
 
     counts = _output_counts(source, exp.n, exp.m, exp.samples, exp.seed)
     accepted = int(counts.sum())

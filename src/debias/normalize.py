@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .bits import BitString, QaryString, rank_bits
-from .errors import ValidationError
+from .errors import _integer
 from .exactdist import _check_enum_guard
 
 _PREIMAGE_ROWS = 1 << 10  # members built per block, which bounds the scratch
@@ -48,9 +48,7 @@ def vn_preimage(y: BitString, n: int) -> set[BitString]:
     rows (whole slot choices), whose rows slice one ``bytes`` buffer each.
     """
     m = len(y)
-    _check_enum_guard(n)
-    if n < 2 * m:
-        raise ValidationError(f"n = {n} is too short to normalize to {m} bits")
+    n = _check_enum_guard(n, "n", 2 * m)  # 2m bits hold m unequal pairs
     pairs, gaps = n // 2, n // 2 - m
     slots = np.array(list(combinations(range(pairs), m)), dtype=np.intp)
     unequal = np.zeros((len(slots), pairs), dtype=bool)
@@ -132,8 +130,7 @@ def peres_normalize(x: BitString) -> BitString:
 
 def parity_normalize(x: BitString, block: int) -> BitString:
     """XOR of each disjoint ``block``-bit group; trailing partial block dropped."""
-    if block < 2:
-        raise ValidationError(f"block length must be >= 2, got {block}")
+    block = _integer("block length", block, 2)
     arr = x.to_array()
     k = len(arr) // block
     grouped = arr[: k * block].reshape(k, block)
@@ -142,6 +139,5 @@ def parity_normalize(x: BitString, block: int) -> BitString:
 
 def delete_symbol(x: QaryString, symbol: int) -> QaryString:
     """Erase every occurrence of one symbol, keeping the rest in order."""
-    if not 0 <= symbol < x.q:
-        raise ValidationError(f"symbol {symbol} outside alphabet of size {x.q}")
+    symbol = _integer("symbol", symbol, 0, x.q - 1)
     return QaryString(x.symbols[x.symbols != symbol], x.q)

@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .bits import BitString, QaryString, _write_rows
-from .errors import ValidationError
+from .errors import ValidationError, _integer, _interval
 
 PAIR_KEYS = ("00", "01", "10", "11")
 
@@ -26,16 +26,15 @@ TRAJECTORIES = ("walk", "sine", "fixed", "adversarial")
 
 # a k-memory source tabulates 2**k histories; the cap keeps that table small
 MAX_MARKOV_K = 16
+_K_LIMIT = f"MAX_MARKOV_K = {MAX_MARKOV_K}"
 
 # draws per lane of the speculative pass in the walk and the Markov sampler
 _BLOCK = 1024
 
 
-def check_markov_k(k: int) -> None:
-    """Reject a memory length outside 0..MAX_MARKOV_K."""
-    if not 0 <= k <= MAX_MARKOV_K:
-        raise ValidationError(
-            f"memory length k must lie in [0, MAX_MARKOV_K = {MAX_MARKOV_K}], got {k}")
+def check_markov_k(k: int) -> int:
+    """``k`` as an ``int``; rejects a memory length outside 0..MAX_MARKOV_K."""
+    return _integer("memory length k", k, 0, MAX_MARKOV_K, _K_LIMIT)
 
 
 def _records(path, width: int):
@@ -68,16 +67,10 @@ class DriftParams:
     delta: float
 
     def __post_init__(self):
-        if not 0.0 < self.p0 < 1.0:
-            raise ValidationError(f"p0 must lie in (0,1), got {self.p0}")
-        if not self.beta >= 0.0:  # NaN fails too
-            raise ValidationError(f"beta must be >= 0, got {self.beta}")
-        if self.beta >= min(self.p0, self.p1):
-            raise ValidationError(
-                f"beta must be < min(p0, p1) = {min(self.p0, self.p1)}, got {self.beta}")
-        if not 0.0 <= self.delta <= self.beta:
-            raise ValidationError(
-                f"delta must lie in [0, beta] = [0, {self.beta}], got {self.delta}")
+        _interval("p0", self.p0, 0, 1)
+        _interval("beta", self.beta, 0, math.inf, "[]")  # NaN: "beta must be >= 0"
+        _interval("beta", self.beta, 0, min(self.p0, self.p1), "[)")
+        _interval("delta", self.delta, 0, self.beta, "[]")
 
     @property
     def p1(self) -> float:
@@ -147,12 +140,12 @@ def validate_trace(trace: DriftTrace, params: DriftParams) -> Optional[TraceViol
     """None if the trace obeys both drift bounds (to within floating-point
     slack), else the first violation."""
     eps = trace.epsilons
-    over = np.abs(eps) > params.beta + _BOUND_SLACK
+    over = ~(np.abs(eps) <= params.beta + _BOUND_SLACK)  # NaN is over every bound
     if over.any():
         i = int(np.argmax(over))
         return TraceViolation("amplitude", i + 1, abs(float(eps[i])), params.beta)
     gam = np.diff(eps)
-    over = np.abs(gam) > params.delta + _BOUND_SLACK
+    over = ~(np.abs(gam) <= params.delta + _BOUND_SLACK)
     if over.any():
         i = int(np.argmax(over))
         return TraceViolation("speed", i + 1, abs(float(gam[i])), params.delta)
@@ -162,8 +155,7 @@ def validate_trace(trace: DriftTrace, params: DriftParams) -> Optional[TraceViol
 def adversarial_trace(params: DriftParams, n: int) -> DriftTrace:
     """Worst-case trace: odd positions sit at the amplitude cap, each followed
     by a maximal step back, on the side determined by the sign of p0 - p1."""
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
+    n = _integer("n", n, 0)
     idx = np.arange(1, n + 1)
     if params.p0 > params.p1:
         hi, lo = -params.beta, -params.beta + params.delta
@@ -179,8 +171,7 @@ class ConstantSource:
     p0: float
 
     def __post_init__(self):
-        if not 0.0 < self.p0 < 1.0:
-            raise ValidationError(f"p0 must lie in (0,1), got {self.p0}")
+        _interval("p0", self.p0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -206,8 +197,9 @@ class DriftingSource:
             raise ValidationError(
                 f"unknown trajectory {self.trajectory!r}; expected one of {TRAJECTORIES}")
         if self.trajectory == "sine":
-            if self.period is None or self.period <= 0:
+            if self.period is None:
                 raise ValidationError("sine trajectory needs a positive period")
+            _interval("period", self.period, 0, math.inf, "(]")
             step = self.params.beta * 2.0 * math.pi / self.period
             if step > self.params.delta:
                 raise ValidationError(
@@ -223,6 +215,7 @@ class DriftingSource:
     def realized_trace(self, n: int) -> DriftTrace:
         """The eps-sequence of an n-bit run of a deterministic trajectory
         (sine, fixed or adversarial); a walk's trace comes from :func:`sample`."""
+        n = _integer("n", n, 0)
         if self.trajectory == "walk":
             raise ValidationError("walk trajectory has no deterministic trace; use sine, fixed, "
                                   "or adversarial (or fix the realized trace of a sampled run)")
@@ -309,11 +302,9 @@ class MarkovSource:
 
     def __post_init__(self):
         object.__setattr__(self, "table", dict(self.table))
-        check_markov_k(self.k)
-        if not self.kappa >= 0.0:  # NaN fails too
-            raise ValidationError(f"kappa must be >= 0, got {self.kappa}")
-        if not 0.0 < self.p0 < 1.0:
-            raise ValidationError(f"p0 must lie in (0,1), got {self.p0}")
+        object.__setattr__(self, "k", check_markov_k(self.k))
+        _interval("kappa", self.kappa, 0, math.inf, "[]")
+        _interval("p0", self.p0, 0, 1)
         want = 1 << self.k
         if len(self.table) != want:
             raise ValidationError(
@@ -436,9 +427,8 @@ def sample(spec: SourceSpec, n: int, seed: int) -> tuple[BitString, Optional[Dri
     are bit-identical to the step-by-step definitions.  A pairwise source
     draws one uniform per pair against that slot's cumulative weights.
     """
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    rng = np.random.default_rng(seed)
+    n = _integer("n", n, 0)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
 
     if isinstance(spec, ConstantSource):
         return _bits_from_zero_probs(np.full(n, spec.p0), rng), None
@@ -477,9 +467,8 @@ def sample_symbols(probs, n: int, seed: int) -> QaryString:
         raise ValidationError("need at least two symbol probabilities")
     if not (p >= 0.0).all() or not abs(p.sum() - 1.0) <= 1e-12:  # NaN fails too
         raise ValidationError("symbol probabilities must be nonnegative and sum to 1")
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    rng = np.random.default_rng(seed)
+    n = _integer("n", n, 0)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     cum = np.cumsum(p)
     idx = np.searchsorted(cum, rng.random(n), side="right")
     return QaryString(np.minimum(idx, len(p) - 1), q=len(p))

@@ -77,18 +77,27 @@ def _block_values(codes: np.ndarray, m: int, q: int, step: int) -> np.ndarray:
     return vals
 
 
+def _block_counts(codes: np.ndarray, m: int, q: int, step: int, unit: str):
+    """``(counts, blocks)``: how often each base-q value occurs among the
+    m-symbol blocks of :func:`_block_values`, and the number of blocks.  m
+    is at most the input length, and at most MAX_ENUM_N with q^m <=
+    2^MAX_ENUM_N, the size limit of a dense table."""
+    m = _check_enum_guard(m, "m", 1)
+    if q ** m > 1 << MAX_ENUM_N:
+        raise ValidationError(f"q^m = {q}^{m} counts exceed 2^MAX_ENUM_N = 2^{MAX_ENUM_N}")
+    if len(codes) < m:
+        raise ValidationError(f"input has {len(codes)} {unit}, need at least {m}")
+    vals = _block_values(codes, m, q, step)
+    return np.bincount(vals, minlength=q ** m), len(vals)
+
+
 def borel_counts(x: BitString, m: int, mode: str = "non-overlapping") -> BorelReport:
     """Count every m-bit block of x, disjointly or in a sliding window;
     m <= MAX_ENUM_N, the size limit of a dense table over m-bit strings."""
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    _check_enum_guard(m, "m")
-    if len(x) < m:
-        raise ValidationError(f"input has {len(x)} bits, need at least {m}")
     _check_mode(mode)
-    vals = _block_values(x.to_array(), m, 2, m if mode == "non-overlapping" else 1)
-    counts = np.bincount(vals, minlength=1 << m)
-    return BorelReport(m=m, mode=mode, total=len(vals), counts=counts)
+    counts, total = _block_counts(x.to_array(), m, 2, m if mode == "non-overlapping" else 1,
+                                  "bits")
+    return BorelReport(m=m, mode=mode, total=total, counts=counts)
 
 
 def empirical_block_dist(x: BitString, m: int) -> DistributionTable:
@@ -100,13 +109,7 @@ def empirical_block_dist(x: BitString, m: int) -> DistributionTable:
 def symbol_block_counts(x: QaryString, m: int) -> np.ndarray:
     """Counts of each disjoint m-symbol block of a Q-ary string, indexed by
     the block's base-Q value; q^m <= 2^MAX_ENUM_N, the size limit of a dense table."""
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    if m > MAX_ENUM_N or x.q ** m > 1 << MAX_ENUM_N:  # q >= 2: no huge power for m > 26
-        raise ValidationError(f"q^m = {x.q}^{m} counts exceed 2^MAX_ENUM_N = 2^{MAX_ENUM_N}")
-    if len(x) < m:
-        raise ValidationError(f"input has {len(x)} symbols, need at least {m}")
-    return np.bincount(_block_values(x.symbols, m, x.q, m), minlength=x.q ** m)
+    return _block_counts(x.symbols, m, x.q, m, "symbols")[0]
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,15 @@ def test_qary_string():
         QaryString.from_letters("abd", "abc")
 
 
+def test_qary_string_copies_its_input():
+    codes = np.array([0, 1, 2], dtype=np.int64)
+    view = codes[:]
+    x = QaryString(codes, 3)
+    codes[0] = 2  # the caller's array stays writable
+    view[1] = 0
+    assert x == QaryString([0, 1, 2], 3) and not x.symbols.flags.writeable
+
+
 def _repr_lines(x) -> list:
     """The package's repr of each float of ``x``: its padded fields, one per
     line, with the padding dropped."""

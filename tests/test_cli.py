@@ -171,7 +171,7 @@ def test_analyze_max_m_above_table_limit(tmp_path, capsys):
     assert run(["analyze", "-i", str(src), "--max-m", "27", "--csv", str(csv_out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and not csv_out.exists()
-    assert "[1, 26]" in captured.err and "MAX_ENUM_N = 26" in captured.err
+    assert "--max-m = 27 exceeds min(input length, MAX_ENUM_N) = 26" in captured.err
 
 
 def test_pipeline_million_bits(tmp_path, capsys):
@@ -307,6 +307,20 @@ def test_exit_codes(tmp_path, capsys):
       "--table", "{table}", "-n", "8", "-o", "{out}"], "line 2: duplicate history '0'"),
     (["markov", "--k", "1", "--kappa", "0.1", "--m", "27", "-n", "54", "-o", "{out}"],
      "m = 27 exceeds the enumeration guard 26"),
+    (["generate", "--source", "drifting", "--p0", "0.5", "--beta", "0.1", "--delta", "0.01",
+      "--trajectory", "sine", "--period", "nan", "-n", "8", "-o", "{out}"],
+     "period must be > 0, got nan"),
+    (["generate", "--source", "drifting", "--p0", "0.5", "--beta", "0.1", "--delta", "0.01",
+      "--trajectory", "fixed", "--trace-in", "{trace}", "-n", "3", "-o", "{out}"],
+     "amplitude bound violated at index 2: |eps| = nan"),
+    (["dist", "--source", "drifting", "--p0", "0.5", "--beta", "0.1", "--delta", "0.01",
+      "--trajectory", "sine", "--period", "nan", "-n", "4", "-o", "{out}"],
+     "period must be > 0, got nan"),
+    (["dist", "--source", "drifting", "--p0", "0.5", "--beta", "0.1", "--delta", "0.01",
+      "--trajectory", "fixed", "--trace-in", "{trace}", "-n", "3", "-o", "{out}"],
+     "amplitude bound violated at index 2: |eps| = nan"),
+    (["generate", "--source", "constant", "--p0", "0.7", "-n", "8", "--seed", "-1",
+      "-o", "{out}"], "seed must be an integer >= 0, got -1"),
 ])
 def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     bits = tmp_path / "four.txt"
@@ -315,8 +329,10 @@ def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     pairs.write_text("nan 0.5 0.5 0\n")
     table = tmp_path / "dup.table"
     table.write_text("0 0.5\n0 0.9\n1 0.5\n")
+    trace = tmp_path / "nan.trace"
+    trace.write_text("0.0\nnan\n0.0\n")
     out = tmp_path / "out.csv"  # the file no failing command may create
-    argv = [a.format(bits=bits, pairs=pairs, table=table, out=out) for a in argv]
+    argv = [a.format(bits=bits, pairs=pairs, table=table, trace=trace, out=out) for a in argv]
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and needle in captured.err

@@ -75,6 +75,9 @@ def test_sine_trajectory():
     with pytest.raises(ValidationError):
         # beta * 2 pi / period > delta
         DriftingSource(params, trajectory="sine", period=10.0)
+    for period in (np.nan, 0.0, -100.0):
+        with pytest.raises(ValidationError, match="period must be > 0"):
+            DriftingSource(params, trajectory="sine", period=period)
 
 
 def test_fixed_trajectory():
@@ -119,6 +122,10 @@ def test_validate_trace_reports():
     assert "0.03" in str(v)
     v = validate_trace(DriftTrace([0.15]), params)
     assert v.kind == "amplitude" and v.index == 1
+    # NaN lies within no bound
+    v = validate_trace(DriftTrace([0.0, np.nan, 0.0]), params)
+    assert v.kind == "amplitude" and v.index == 2
+    assert validate_trace(DriftTrace([0.0, np.inf]), params).index == 2
 
 
 def test_markov_validation():
