@@ -7,13 +7,13 @@ Two on-disk formats are supported:
 
 * ``ascii``  -- the characters '0' and '1'; whitespace is ignored.
 * ``packed`` -- an 8-byte little-endian bit count followed by the bits
-  packed MSB-first, pad bits in the final byte zeroed.  The length prefix
-  makes lengths that are not a multiple of 8 unambiguous.
+  packed MSB-first, pad bits in the final byte zeroed and nothing after it.
+  The length prefix makes lengths that are not a multiple of 8 unambiguous.
 
 Every text file the package writes goes through :func:`_write_rows`, which
-lays a chunk of lines out as NUL-padded ``uint8`` columns and prints floats
-as ``repr`` does, the shortest decimal that reads back to the same float,
-with :func:`_repr_floats`.
+lays a chunk of lines out as NUL-padded ``uint8`` columns and prints every
+float field as ``repr`` does, the shortest decimal that reads back to the
+same float, with :func:`_repr_floats`, whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ _DECODE = b"\x02" * 0x30 + b"\x00\x01" + b"\x02" * (256 - 0x32)
 _ENCODE = bytes.maketrans(b"\x00\x01", b"01")
 
 _CHUNK = 1 << 18  # bytes of padded row text that _write_rows lays out per write
-_FEW_ROWS = 256  # below this, repr per value beats _repr_floats's fixed cost of about 0.2 ms
 
 
 def format_bits(value: int, length: int) -> str:
@@ -163,13 +162,10 @@ def _repr_floats(x) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
     e = (x.view(np.uint64) >> np.uint64(52)).astype(np.intp) & 0x7FF
     e -= 1023 + _E2[0]
-    at = np.flatnonzero((e >= 0) & (e < len(_E2)))
-    if len(at) == len(x):
-        out, ok = _shortest(x, e)
-    else:
-        out, ok = np.zeros((len(x), _FIELD), np.uint8), np.zeros(len(x), bool)
-        out[at], ok[at] = _shortest(x[at], e[at])
-    slow = np.flatnonzero(~ok)
+    fast = (e >= 0) & (e < len(_E2))
+    # values outside the integer route are stood in by 1.0 and go to repr
+    out, ok = _shortest(np.where(fast, x, 1.0), np.where(fast, e, -_E2[0]))
+    slow = np.flatnonzero(~(ok & fast))
     if len(slow):
         text = np.array([repr(v) for v in x[slow].tolist()], f"S{_FIELD}")
         out[slow] = text.view(np.uint8).reshape(-1, _FIELD)
@@ -185,9 +181,8 @@ def _write_rows(file, header: str, blocks) -> None:
     entry's value in each of the equal-length ``columns``, and its ``{}``
     with the entry's rank as a ``length``-bit key; the rest of ``row`` holds
     no ``%``.  ``file`` is a path (opened with ``newline=""``) or an open
-    text file.  A ``%r`` field holds a float64 column and prints ``repr``,
-    through :func:`_repr_floats` in blocks of at least ``_FEW_ROWS`` rows;
-    any other field, and ``%r`` in smaller blocks, is ``%``-formatted one
+    text file.  A ``%r`` field holds a float64 column and prints ``repr``
+    through :func:`_repr_floats`; any other field is ``%``-formatted one
     value at a time.  Each write is about ``_CHUNK`` bytes of lines, laid
     out as NUL-padded uint8 columns side by side, from which one
     ``translate`` drops the padding."""
@@ -219,7 +214,7 @@ def _write_rows(file, header: str, blocks) -> None:
                     text.append(rank_bits(lo, hi, length) + np.uint8(48))
                 elif isinstance(c, np.ndarray):
                     text.append(np.broadcast_to(c, (hi - lo, len(c))))
-                elif c[0] == "%r" and rows >= _FEW_ROWS:
+                elif c[0] == "%r":
                     text.append(_repr_floats(c[1][lo:hi]))
                 else:
                     cell = np.array([c[0] % v for v in c[1][lo:hi].tolist()], "S")
@@ -395,11 +390,15 @@ def parse_bits(data: bytes, fmt: str) -> BitString:
         if len(data) < 8:
             raise BitFormatError("truncated header: need 8 length bytes", 0)
         (n,) = struct.unpack("<Q", data[:8])
-        payload = data[8:]
-        if n > len(payload) * 8:
+        end = 8 + (n + 7) // 8
+        if len(data) < end:
             raise BitFormatError(
-                f"declared bit count {n} exceeds payload capacity {len(payload) * 8}", 0)
-        raw = np.frombuffer(payload[: (n + 7) // 8], dtype=np.uint8)
+                f"declared bit count {n} exceeds payload capacity {8 * (len(data) - 8)}", 0)
+        if len(data) > end:
+            raise BitFormatError(f"data past the {n}-bit payload", end)
+        if n % 8 and data[-1] & (0xFF >> n % 8):
+            raise BitFormatError("nonzero pad bits", end - 1)
+        raw = np.frombuffer(data, np.uint8, offset=8)
         return BitString._of(np.unpackbits(raw, count=n, bitorder="big").tobytes())
     raise ValidationError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
@@ -409,8 +408,5 @@ def serialize_bits(x: BitString, fmt: str) -> bytes:
     if fmt == "ascii":
         return x._b.translate(_ENCODE)
     if fmt == "packed":
-        header = struct.pack("<Q", len(x))
-        if len(x) == 0:
-            return header
-        return header + np.packbits(x.to_array(), bitorder="big").tobytes()
+        return struct.pack("<Q", len(x)) + np.packbits(x.to_array(), bitorder="big").tobytes()
     raise ValidationError(f"unknown format {fmt!r}; expected one of {FORMATS}")

@@ -189,10 +189,12 @@ def normalized_dist(spec: SourceSpec, n: int, m: int) -> DistributionTable:
     """
     n = _check_enum_guard(n)
     m = _integer("m", m, 1, n // 2)
-    k, q = _pair_masses(spec, n)
+    # k is known before the masses are built, so a refused call builds none
+    k = spec.k if isinstance(spec, MarkovSource) else 0
     if not _enumerable(n, k, m):
         raise ValidationError(f"state of 2^{k + m + 1} entries exceeds the guard "
                               f"k + m + 1 <= {MAX_ENUM_N}")
+    _, q = _pair_masses(spec, n)
     kk = max(k, 2)  # pad to 2 history bits, which each pair shifts out whole
     q = np.tile(q, (1, 1 << (kk - k), 1)).reshape(-1, 4, 1 << (kk - 2), 4)
     # state[s, lo, c]: history s * 2^(kk-2) + lo; the output is coded with a

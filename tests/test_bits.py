@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from debias import (BitFormatError, BitString, DriftingSource, DriftParams,
                     QaryString, ValidationError, parse_bits, sample, serialize_bits)
-from debias.bits import _E2, _repr_floats
+from debias.bits import _E2, _repr_floats, _write_rows
 from string_oracles import count_bits
 
 
@@ -88,6 +90,31 @@ def test_parse_packed():
         parse_bits(b"\x01\x02", "packed")  # truncated header
     with pytest.raises(BitFormatError):
         parse_bits(b"\x09\x00\x00\x00\x00\x00\x00\x00\xff", "packed")  # count > capacity
+
+
+def test_parse_packed_refuses_data_past_the_payload():
+    four = b"\x04\x00\x00\x00\x00\x00\x00\x00"
+    for extra in (b"\xff\xff", b"\x00"):
+        with pytest.raises(BitFormatError, match="past the 4-bit payload") as err:
+            parse_bits(four + b"\x60" + extra, "packed")
+        assert err.value.offset == 9
+    with pytest.raises(BitFormatError) as err:
+        parse_bits(b"\x00" * 8 + b"\x00", "packed")
+    assert err.value.offset == 8
+
+
+def test_parse_packed_refuses_nonzero_pad_bits():
+    for last in (b"\x6f", b"\x61", b"\x68"):
+        with pytest.raises(BitFormatError, match="nonzero pad bits") as err:
+            parse_bits(b"\x04\x00\x00\x00\x00\x00\x00\x00" + last, "packed")
+        assert err.value.offset == 8
+    # no pad bits when n is a multiple of 8
+    assert parse_bits(b"\x08" + b"\x00" * 7 + b"\xff", "packed") == BitString("11111111")
+    nine = b"\x09" + b"\x00" * 7 + b"\xff"
+    assert parse_bits(nine + b"\x80", "packed") == BitString("111111111")
+    with pytest.raises(BitFormatError) as err:
+        parse_bits(nine + b"\x81", "packed")
+    assert err.value.offset == 9
 
 
 def test_serialize_examples():
@@ -223,3 +250,18 @@ def test_repr_floats_walk_trace():
 @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
 def test_repr_floats_property(values):
     _assert_repr(values)
+
+
+def test_write_rows_prints_repr_at_every_block_size():
+    # blocks of a few rows and of about 256 take the same %r route; each
+    # value, among them an exact tie (2^50 + 0.25), heads some block of
+    # every size
+    values = np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 1e300, 2.0 ** 51,
+                       2.0 ** -41, 2.0 ** 50 + 0.25, 0.1, -1 / 3])
+    for n in (1, 2, 255, 256, 257):
+        blocks = [np.resize(np.roll(values, -i), n) for i in range(len(values))]
+        buf = io.StringIO()
+        _write_rows(buf, "h\n", [("x%r,%r\r\n", [b, b[::-1]], 0) for b in blocks])
+        want = "h\n" + "".join(f"x{a!r},{b!r}\r\n" for b in blocks
+                               for a, b in zip(b.tolist(), b[::-1].tolist()))
+        assert buf.getvalue() == want, n

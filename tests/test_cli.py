@@ -262,6 +262,21 @@ def test_every_writer_matches_its_oracle_at_small_chunks(monkeypatch, tmp_path,
     assert capsysbinary.readouterr().out == markov_csv([result]).encode()
 
 
+def test_small_writers_match_their_oracles(capsysbinary):
+    # a 75-row sweep whose tv_linear is NaN at m <= 3, and a one-row markov
+    # CSV whose tv_exact is empty (n = 30 is past the enumeration guard)
+    assert run(["sweep", "--m-list", "1,2,3"]) == 0
+    rows = sweep([1, 2, 3], np.logspace(-6, np.log10(0.5), 25))
+    assert any(math.isnan(r.tv_linear) for r in rows)
+    assert capsysbinary.readouterr().out == sweep_csv(rows).encode()
+    assert run(["markov", "--k", "1", "--kappa", "0.05", "--m", "2", "-n", "30",
+                "--samples", "200", "--seed", "5"]) == 0
+    result = run_markov_experiment(MarkovExperiment(k=1, kappa=0.05, m=2, n=30,
+                                                    samples=200, seed=5))
+    assert result.tv_exact is None
+    assert capsysbinary.readouterr().out == markov_csv([result]).encode()
+
+
 def test_exit_codes(tmp_path, capsys):
     # validation error -> 1
     assert run(["tv", "--m", "2", "--alpha", "1.5"]) == 1

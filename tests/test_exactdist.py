@@ -212,6 +212,21 @@ def test_normalized_dist_guards():
         normalized_dist(random_markov_source(13, 0.1, 0.5, 1), 26, 13)
 
 
+def test_normalized_dist_guard_comes_before_the_pair_masses():
+    # k = 16 masses for a 26-bit run are about 90 MiB; a refused call
+    # builds none of them
+    spec = random_markov_source(16, 0.1, 0.5, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError,
+                           match=r"state of 2\^30 entries exceeds the guard k \+ m \+ 1 <= 26"):
+            normalized_dist(spec, 26, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_total_variation_examples():
     u1 = uniform_dist(1)
     assert total_variation(u1, u1) == 0.0
@@ -396,8 +411,7 @@ def test_csv_matches_csv_writer_oracle(tmp_path):
 
 def test_csv_chunk_seams(monkeypatch):
     # 250-byte chunks of 51 + n-byte padded rows: 4 rows, so seams fall
-    # inside every table from length 3 up; from length 8 up the probabilities
-    # go through _repr_floats
+    # inside every table from length 3 up
     monkeypatch.setattr("debias.bits._CHUNK", 250)
     rng = np.random.default_rng(32)
     for n in range(10):

@@ -411,8 +411,8 @@ def test_trace_save_writes_one_repr_per_line(tmp_path):
 
 def test_trace_save_matches_repr_oracle(monkeypatch, tmp_path):
     # 5-row chunk seams (250 bytes of 49-byte padded rows), repr's exponent
-    # forms, a negative zero, a subnormal and an empty trace; the 320-offset
-    # trace is long enough for _repr_floats, the 8-offset one is not
+    # forms, a negative zero, a subnormal and an empty trace, in traces of
+    # 320, 8, 0 and 1 offsets
     monkeypatch.setattr("debias.bits._CHUNK", 250)
     special = [-0.0, 5e-324, 1e16, 1 / 3, 1e-05, -2.5e-07, 0.1, 1e22]
     for eps in (special * 40, special, [], [0.0]):
