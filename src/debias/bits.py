@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 import struct
 from collections.abc import Iterable
+from numbers import Real
 
 import numpy as np
 
@@ -47,6 +48,33 @@ def rank_bits(start: int, stop: int, length: int) -> np.ndarray:
     one uint8 row each; ``length <= 32``."""
     ranks = np.arange(start, stop, dtype=">u4").view(np.uint8).reshape(-1, 4)
     return np.unpackbits(ranks, axis=1)[:, 32 - length:]
+
+
+def _key_rank(key, length: int) -> int:
+    """The MSB-first rank of ``key`` if it is a str of exactly ``length``
+    characters '0' and '1', else -1; ``int(key, 2)`` alone would also take
+    "0_1", " 01 ", "+1" and "١٠"."""
+    if isinstance(key, str) and len(key) == length and not key.strip("01"):
+        return int(key, 2) if length else 0
+    return -1
+
+
+def _keyed_array(table, length: int, name: str, bad_keys: str) -> np.ndarray:
+    """The values of ``table``, keyed by every ``length``-bit string, as a
+    float64 array in rank order.  Else ValidationError: ``bad_keys`` with the
+    first key that is no such string (or None) for its ``{}``, or a message
+    naming, as ``name[key]``, the lowest-rank value that is not a real number."""
+    ranks = [_key_rank(h, length) for h in table]
+    if len(ranks) != 1 << length or -1 in ranks:
+        bad = next((h for h, r in zip(table, ranks) if r < 0), None)
+        raise ValidationError(bad_keys.format(bad))
+    values = list(table.values())
+    if not all(issubclass(t, Real) for t in set(map(type, values))):  # per type, not value
+        h = format_bits(min(r for r, v in zip(ranks, values) if not isinstance(v, Real)), length)
+        raise ValidationError(f"{name}[{h!r}] = {table[h]!r} is not a real number")
+    out = np.empty(len(values))
+    out[ranks] = values
+    return out
 
 
 # Shortest round-trip decimals.  A float64 of binary exponent e2 (2^e2 <= |x|

@@ -113,8 +113,8 @@ def cmd_analyze(args) -> int:
     if args.csv:
         stats.write_borel_csv(reports, args.csv)
     for r in reports:
-        disjoint = r if r.mode == "non-overlapping" else stats.borel_counts(bits, r.m)
-        emp = DistributionTable(r.m, disjoint.counts / disjoint.total)
+        emp = (DistributionTable(r.m, r.counts / r.total) if r.mode == "non-overlapping"
+               else stats.empirical_block_dist(bits, r.m))
         tv = total_variation(emp, uniform_dist(r.m))
         print(r.format_table())
         print(f"m={r.m} empirical TV to uniform: {_fmt(tv)}")

@@ -1,7 +1,8 @@
 """Exact finite distributions over fixed-length bit strings.
 
 A table over length-m strings is stored as a dense float vector indexed by
-the string's MSB-first integer value, which is also its lexicographic rank.
+the string's MSB-first integer value, which is also its lexicographic rank
+(``bits._key_rank``).  ``to_csv`` writes a table; the package reads none back.
 Each source's law is stated once, as pair masses (see ``_pair_masses``); the
 raw table and the von Neumann output table are two folds over them, guarded
 at n <= 26 and k + m + 1 <= 26 so every computation stays exact (double
@@ -10,12 +11,11 @@ precision) and finishes quickly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitString, _write_rows, format_bits
+from .bits import BitString, _key_rank, _write_rows, format_bits
 from .errors import DegenerateSourceError, ValidationError, _integer, _interval
 from .sources import (ConstantSource, DriftingSource, MarkovSource, PairwiseSource,
                       SourceSpec)
@@ -70,14 +70,10 @@ class DistributionTable:
 
     def prob(self, key) -> float:
         """Probability of one string (str, BitString, or integer rank)."""
-        if isinstance(key, BitString):
-            if len(key) != self.length:
-                raise ValidationError(f"key length {len(key)} != table length {self.length}")
-            idx = key.to_int()
-        elif isinstance(key, str):
-            if len(key) != self.length or any(c not in "01" for c in key):
+        if isinstance(key, (str, BitString)):
+            idx = _key_rank(str(key), self.length)
+            if idx < 0:
                 raise ValidationError(f"bad key {key!r} for table length {self.length}")
-            idx = int(key, 2) if key else 0
         else:
             idx = _integer("rank", key, 0, len(self.probs) - 1)
         return float(self.probs[idx])
@@ -91,36 +87,6 @@ class DistributionTable:
         """Write ``string,probability\\r\\n`` rows in lexicographic order, the
         bytes ``csv.writer`` writes for ``[key, repr(p)]``."""
         _write_rows(file, "", [("{},%r\r\n", [self.probs], self.length)])
-
-    @classmethod
-    def from_csv(cls, file) -> "DistributionTable":
-        if not hasattr(file, "read"):
-            with open(file, newline="") as f:
-                return cls.from_csv(f)
-        reader = csv.reader(file)
-        values = {}
-        for row in reader:
-            if not row:
-                continue
-            line = f"CSV line {reader.line_num}"
-            if len(row) != 2:
-                raise ValidationError(f"{line}: need 'string,probability', got {row!r}")
-            key, p = row
-            length = len(next(iter(values), key))
-            if len(key) != length or key.strip("01"):
-                raise ValidationError(f"{line}: bad key {key!r} for table length {length}")
-            if key in values:
-                raise ValidationError(f"{line}: duplicate key {key!r}")
-            try:
-                values[key] = float(p)
-            except ValueError:
-                raise ValidationError(f"{line}: bad probability {p!r}") from None
-        if not values:
-            raise ValidationError("empty distribution CSV")
-        _check_enum_guard(length, "table length")
-        probs = np.zeros(1 << length)
-        probs[[int(s, 2) if s else 0 for s in values]] = list(values.values())
-        return cls(length, probs)
 
     def __repr__(self) -> str:
         return f"DistributionTable(length={self.length}, entries={len(self.probs)})"

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .bits import BitString, QaryString, _write_rows
+from .bits import BitString, QaryString, _key_rank, _keyed_array, _write_rows, format_bits
 from .errors import ValidationError, _integer, _interval
 
 PAIR_KEYS = ("00", "01", "10", "11")
@@ -310,22 +310,17 @@ class MarkovSource:
             raise ValidationError(
                 f"table must cover all {want} histories of length {self.k}, "
                 f"got {len(self.table)} entries")
-        for h, p in self.table.items():
-            if len(h) != self.k or any(c not in "01" for c in h):
-                raise ValidationError(f"bad history key {h!r}")
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"P(0|{h}) = {p} outside [0,1]")
-            if abs(p - self.p0) > self.kappa + 1e-15:
-                raise ValidationError(
-                    f"P(0|{h}) = {p} deviates from p0 = {self.p0} by more than kappa = "
-                    f"{self.kappa}")
+        p = self.cond_zero_probs()
+        for bad, what in ((~((p >= 0.0) & (p <= 1.0)), "outside [0,1]"),  # NaN too
+                          (np.abs(p - self.p0) > self.kappa + 1e-15,
+                           f"deviates from p0 = {self.p0} by more than kappa = {self.kappa}")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValidationError(f"P(0|{format_bits(i, self.k)}) = {p[i]} {what}")
 
     def cond_zero_probs(self) -> np.ndarray:
         """P(bit = 0 | history) indexed by the history's MSB-first integer value."""
-        out = np.empty(1 << self.k, dtype=np.float64)
-        for h, p in self.table.items():
-            out[int(h, 2) if self.k else 0] = p
-        return out
+        return _keyed_array(self.table, self.k, "table", "bad history key {!r}")
 
 
 @dataclass(frozen=True)
@@ -343,23 +338,24 @@ class PairwiseSource:
         dists = tuple(dict(d) for d in pair_dists)
         if not dists:
             raise ValidationError("need at least one pair distribution")
-        for i, d in enumerate(dists):
-            if set(d) != set(PAIR_KEYS):
-                raise ValidationError(
-                    f"pair distribution {i} must have exactly the keys {PAIR_KEYS}")
-            if any(not v >= 0.0 for v in d.values()):  # NaN fails too
-                raise ValidationError(f"pair distribution {i} has a negative or NaN weight")
-            total = math.fsum(d.values())
-            if not abs(total - 1.0) <= 1e-12:
-                raise ValidationError(
-                    f"pair distribution {i} sums to {total!r}, expected 1")
         object.__setattr__(self, "pair_dists", dists)
+        w = self.pair_matrix(len(dists))  # one row per slot
+        bad = ~(w >= 0.0).all(axis=1)  # NaN fails too
+        if bad.any():
+            raise ValidationError(
+                f"pair distribution {int(np.argmax(bad))} has a negative or NaN weight")
+        total = w.sum(axis=1)
+        bad = ~(np.abs(total - 1.0) <= 1e-12)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(f"pair distribution {i} sums to {float(total[i])!r}, expected 1")
 
     def pair_matrix(self, pairs: int) -> np.ndarray:
         """(pairs, 4) matrix of pair probabilities in 00,01,10,11 order, cycled."""
-        base = np.array([[d[k] for k in PAIR_KEYS] for d in self.pair_dists])
-        reps = -(-pairs // len(base))
-        return np.tile(base, (reps, 1))[:pairs]
+        base = np.array([_keyed_array(d, 2, f"pair_dists[{i}]", f"pair distribution {i} "
+                                      f"must have exactly the keys {PAIR_KEYS}")
+                         for i, d in enumerate(self.pair_dists)])
+        return np.tile(base, (-(-pairs // len(base)), 1))[:pairs]
 
 
 SourceSpec = Union[ConstantSource, DriftingSource, MarkovSource, PairwiseSource]
@@ -483,7 +479,7 @@ def load_markov_table(path, k: int) -> dict:
     for lineno, (field, p) in _records(path, 2):
         p = _number(path, lineno, p, "a probability")
         hist = "" if field == "-" else field
-        if len(hist) != k or any(c not in "01" for c in hist):
+        if _key_rank(hist, k) < 0:
             raise ValidationError(
                 f"{path}: line {lineno}: history {field!r} is not a {k}-bit string")
         if hist in table:

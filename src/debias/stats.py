@@ -148,7 +148,8 @@ def write_sweep_csv(rows, file) -> None:
 
 def write_borel_csv(reports, file) -> None:
     """CSV rows ``m,mode,block,count,expected,deviation_sigma``: one header,
-    then every block of each report in turn, floats as their ``repr``."""
+    then every block of each report in turn, floats as their ``repr``.  The
+    mode, one of ``MODES``, is literal row text."""
     _write_rows(file, "m,mode,block,count,expected,deviation_sigma\r\n",
-                ((f"{r.m},%s,{{}},%d,{r.expected!r},%r\r\n",
-                  [[r.mode] * len(r.counts), r.counts, r.deviations], r.m) for r in reports))
+                ((f"{r.m},{r.mode},{{}},%d,{r.expected!r},%r\r\n",
+                  [r.counts, r.deviations], r.m) for r in reports))

