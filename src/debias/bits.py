@@ -433,8 +433,20 @@ def parse_bits(data: bytes, fmt: str) -> BitString:
 
 def serialize_bits(x: BitString, fmt: str) -> bytes:
     """Encode ``x`` in the given format; inverse of :func:`parse_bits`."""
+    return _header(len(x), fmt) + _payload(x._b, fmt)
+
+
+def _header(n: int, fmt: str) -> bytes:
+    """What a file of n bits starts with: the packed length, or nothing."""
+    if fmt not in FORMATS:
+        raise ValidationError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return struct.pack("<Q", n) if fmt == "packed" else b""
+
+
+def _payload(bits: bytes, fmt: str) -> bytes:
+    """The 0/1 bytes ``bits`` encoded in a format :func:`_header` accepted.
+    A file may be written a piece at a time: every packed piece but the
+    last holds a multiple of 8 bits."""
     if fmt == "ascii":
-        return x._b.translate(_ENCODE)
-    if fmt == "packed":
-        return struct.pack("<Q", len(x)) + np.packbits(x.to_array(), bitorder="big").tobytes()
-    raise ValidationError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+        return bits.translate(_ENCODE)
+    return np.packbits(np.frombuffer(bits, np.uint8), bitorder="big").tobytes()

@@ -14,11 +14,12 @@ import argparse
 import functools
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
 from . import bounds, markov, normalize, sources, stats
-from .bits import parse_bits, serialize_bits
+from .bits import _header, _payload, parse_bits, serialize_bits
 from .errors import ConvergenceError, ValidationError, _integer, _interval
 from .exactdist import (MAX_ENUM_N, DistributionTable, exact_source_dist, normalized_dist,
                         total_variation, uniform_dist)
@@ -77,14 +78,19 @@ def _read_bits(path: str, fmt: str):
 
 
 def cmd_generate(args) -> int:
+    """Write the bits, and the trace if asked, chunk by chunk as they are
+    drawn; everything is checked before either file is opened."""
     spec = _source_from_args(args)
     if args.trace_out and not isinstance(spec, sources.DriftingSource):
         raise ValidationError(f"{args.source} source has no drift trace to write")
-    bits, trace = sources.sample(spec, args.n, args.seed)
-    with open(args.out, "wb") as f:
-        f.write(serialize_bits(bits, args.format))
-    if args.trace_out:
-        trace.save(args.trace_out)
+    chunks = sources._chunks(spec, args.n, args.seed)
+    with open(args.out, "wb") as f, \
+            (open(args.trace_out, "w", newline="") if args.trace_out else nullcontext()) as t:
+        f.write(_header(args.n, args.format))
+        for bits, eps in chunks:
+            f.write(_payload(bits.tobytes(), args.format))
+            if t is not None:
+                sources._save_offsets(t, eps)
     return 0
 
 

@@ -4,6 +4,12 @@ Every source is a frozen dataclass; :func:`sample` is a pure function of
 (spec, n, seed).  Randomness comes from numpy's default generator (PCG64),
 seeded per call, so golden outputs in the test suite are stable.
 
+Bits are drawn in chunks of ``_STREAM`` positions, whatever the source, and
+:func:`sample` is the concatenation of those chunks; ``generate`` writes
+each chunk as it comes, so its memory does not grow with n.  A source
+carries its state from one chunk to the next: the walk its last offset,
+the Markov sampler its k-bit history, the pairwise source its slot index.
+
 For a drifting source, bit i is 0 with probability ``p0 - eps_i`` where the
 per-bit offsets eps_i are capped in amplitude (|eps_i| <= beta) and in step
 size (|eps_{i+1} - eps_i| <= delta).
@@ -12,7 +18,8 @@ size (|eps_{i+1} - eps_i| <= delta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 import numpy as np
@@ -31,6 +38,12 @@ _K_LIMIT = f"MAX_MARKOV_K = {MAX_MARKOV_K}"
 # draws per lane of the speculative pass in the walk and the Markov sampler
 _BLOCK = 1024
 
+# bit positions per chunk of a run: 2 MiB per float64 array.  A multiple of 8,
+# so every chunk but the last packs to whole bytes, and of _BLOCK; the lockstep
+# passes take about _BLOCK Python-level steps per chunk, which stay cheap
+# against the chunk's array work only at this size or more
+_STREAM = 1 << 18
+
 
 def check_markov_k(k: int) -> int:
     """``k`` as an ``int``; rejects a memory length outside 0..MAX_MARKOV_K."""
@@ -39,9 +52,16 @@ def check_markov_k(k: int) -> int:
 
 def _records(path, width: int):
     """``(lineno, fields)`` for each line of a parameter file that is neither
-    blank nor a ``#`` comment; every such line has ``width`` fields."""
-    with open(path) as f:
+    blank nor a ``#`` comment; every such line has ``width`` fields.  The
+    file is UTF-8 text."""
+    # undecodable bytes become lone surrogates, which no UTF-8 line holds
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValidationError(f"{path}: line {lineno}: not UTF-8 text") from None
             fields = line.split()
             if not fields or fields[0].startswith("#"):
                 continue
@@ -49,6 +69,16 @@ def _records(path, width: int):
                 raise ValidationError(
                     f"{path}: line {lineno}: expected {width} fields, got {len(fields)}")
             yield lineno, fields
+
+
+def _mapping(value, name: str) -> dict:
+    """``dict(value)``, or ValidationError if ``value`` is neither a mapping
+    nor a sequence of key-value pairs."""
+    try:
+        return dict(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must map 0/1 strings to numbers, "
+                              f"got a {type(value).__name__}") from None
 
 
 def _number(path, lineno: int, text: str, what: str) -> float:
@@ -110,12 +140,18 @@ class DriftTrace:
 
     def save(self, path) -> None:
         """Write one decimal offset per line."""
-        _write_rows(path, "", [("%r\n", [self.epsilons], 0)])
+        _save_offsets(path, self.epsilons)
 
     @classmethod
     def load(cls, path) -> "DriftTrace":
         """Read one decimal offset per line; blank and ``#`` lines are skipped."""
         return cls([_number(path, i, f[0], "a decimal offset") for i, f in _records(path, 1)])
+
+
+def _save_offsets(file, eps: np.ndarray) -> None:
+    """Write ``eps`` one decimal offset per line, to a path or an open text
+    file; chunks of a trace written in order make the trace's file."""
+    _write_rows(file, "", [("%r\n", [eps], 0)])
 
 
 @dataclass(frozen=True)
@@ -155,13 +191,18 @@ def validate_trace(trace: DriftTrace, params: DriftParams) -> Optional[TraceViol
 def adversarial_trace(params: DriftParams, n: int) -> DriftTrace:
     """Worst-case trace: odd positions sit at the amplitude cap, each followed
     by a maximal step back, on the side determined by the sign of p0 - p1."""
-    n = _integer("n", n, 0)
-    idx = np.arange(1, n + 1)
+    return DriftTrace(_adversarial(params, 0, _integer("n", n, 0)))
+
+
+def _adversarial(params: DriftParams, lo: int, hi: int) -> np.ndarray:
+    """Offsets lo + 1 .. hi of the adversarial trace."""
     if params.p0 > params.p1:
-        hi, lo = -params.beta, -params.beta + params.delta
+        cap, back = -params.beta, -params.beta + params.delta
     else:
-        hi, lo = params.beta, params.beta - params.delta
-    return DriftTrace(np.where(idx % 2 == 1, hi, lo))
+        cap, back = params.beta, params.beta - params.delta
+    eps = np.full(hi - lo, back)
+    eps[lo % 2::2] = cap  # the odd 1-based positions
+    return eps
 
 
 @dataclass(frozen=True)
@@ -215,76 +256,88 @@ class DriftingSource:
     def realized_trace(self, n: int) -> DriftTrace:
         """The eps-sequence of an n-bit run of a deterministic trajectory
         (sine, fixed or adversarial); a walk's trace comes from :func:`sample`."""
+        return DriftTrace(self._offsets(0, self._deterministic(n)))
+
+    def _deterministic(self, n: int) -> int:
+        """``n`` as an ``int``, once the trajectory is known to fix ``n``
+        offsets: it is not a walk, and a fixed trace is long enough."""
         n = _integer("n", n, 0)
         if self.trajectory == "walk":
             raise ValidationError("walk trajectory has no deterministic trace; use sine, fixed, "
                                   "or adversarial (or fix the realized trace of a sampled run)")
+        if self.trajectory == "fixed" and len(self.trace) < n:
+            raise ValidationError(f"fixed trace has {len(self.trace)} entries, need {n}")
+        return n
+
+    def _offsets(self, lo: int, hi: int) -> np.ndarray:
+        """Offsets lo + 1 .. hi of a deterministic trajectory checked by
+        :meth:`_deterministic`; a fixed trace's are a read-only view."""
         if self.trajectory == "fixed":
-            if len(self.trace) < n:
-                raise ValidationError(
-                    f"fixed trace has {len(self.trace)} entries, need {n}")
-            return self.trace[:n]
+            return self.trace.epsilons[lo:hi]
         if self.trajectory == "adversarial":
-            return adversarial_trace(self.params, n)
-        i = np.arange(1, n + 1, dtype=np.float64)
-        return DriftTrace(self.params.beta * np.sin(2.0 * math.pi * i / self.period))
+            return _adversarial(self.params, lo, hi)
+        # beta * sin(2 pi i / period), one operation at a time in place
+        eps = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        eps *= 2.0 * math.pi
+        eps /= self.period
+        np.sin(eps, out=eps)
+        eps *= self.params.beta
+        return eps
 
-    def _walk(self, n: int, rng) -> DriftTrace:
-        """eps_1 = 0, then eps_{i+1} = min(beta, max(-beta, eps_i + step_i))
-        with steps uniform in [-delta, delta]; bit-identical to running that
-        recurrence one step at a time.
 
-        The steps are cut into blocks of ``_BLOCK``, and one lockstep pass
-        walks every block from a guessed start of 0.  The blocks are then
-        repaired in order from the true start.  The step map is monotone and
-        deterministic, so once the true walk meets the guessed one the rest
-        of the block is already right; until then the walk is a running sum
-        from the true state (``np.cumsum`` adds left to right, as the loop
-        did), restarted after each clamp.  A clamp can make the two meet, so
-        a walk that clamps often is repaired in few steps, and one that
-        rarely clamps needs few restarts.
-        """
-        beta, delta = self.params.beta, self.params.delta
-        if n == 0:
-            return DriftTrace(np.empty(0))
-        lanes = max(1, -(-(n - 1) // _BLOCK))
-        # w[i + 1] is step i; a running sum from eps_i first writes eps_i to w[i]
-        w = np.zeros(lanes * _BLOCK + 1)
-        w[1:n] = rng.uniform(-delta, delta, size=n - 1)
-        steps = w[1:].reshape(lanes, _BLOCK)
-        # guess[j, t] is eps at index j * _BLOCK + t, walked from guess[j, 0] = 0
-        guess = np.zeros((lanes, _BLOCK + 1))
-        nxt = np.empty(lanes)
-        for t in range(_BLOCK):
-            np.add(guess[:, t], steps[:, t], out=nxt)
-            nxt[nxt <= -beta] = -beta  # ties fall as in min(beta, max(-beta, x))
-            nxt[nxt >= beta] = beta
-            guess[:, t + 1] = nxt
-        # block 0 starts at the true eps_1 = 0; block j starts at block j-1's end
-        for j in range(1, lanes):
-            row = guess[j]
-            pattern = row.view(np.int64)  # compared bit for bit, signed zeros too
-            run = w[j * _BLOCK:(j + 1) * _BLOCK + 1]
-            e, t = guess[j - 1, _BLOCK], 0
-            while e.view(np.int64) != pattern[t]:
-                row[t] = e
-                if t == _BLOCK:
-                    break
-                run[t] = e
-                sums = np.cumsum(run[t:])[1:]
-                # the sums are the walk up to the first clamp or meeting
-                stop = (np.abs(sums) >= beta) | (sums.view(np.int64) == pattern[t + 1:])
-                c = int(np.argmax(stop))
-                if not stop[c]:
-                    row[t + 1:] = sums
-                    break
-                row[t + 1:t + 1 + c] = sums[:c]
-                t += c + 1
-                e = np.float64(min(beta, max(-beta, float(sums[c]))))
-        # every step is used, so w takes the walk
-        w[:-1].reshape(lanes, _BLOCK)[:] = guess[:, :-1]
-        w[-1] = guess[-1, -1]
-        return DriftTrace(w[:n])
+def _walk(w: np.ndarray, guess: np.ndarray, beta: float) -> None:
+    """Walk in place.  On entry w[0] is the start offset and w[i + 1] is
+    step i; on exit w[i] is the offset after i steps of
+    eps -> min(beta, max(-beta, eps + step)), bit-identical to running that
+    recurrence one step at a time.  ``guess`` is a (lanes, _BLOCK + 1)
+    scratch buffer and ``len(w) == lanes * _BLOCK + 1``.
+
+    The steps are cut into blocks of ``_BLOCK``, and one lockstep pass walks
+    block 0 from the true start and every other block from a guessed start
+    of 0.  Those blocks are then repaired in order from the true start.  The
+    step map is monotone and deterministic, so once the true walk meets the
+    guessed one the rest of the block is already right; until then the walk
+    is a running sum from the true state (``np.cumsum`` adds left to right,
+    as the loop did), restarted after each clamp.  A clamp can make the two
+    meet, so a walk that clamps often is repaired in few steps, and one that
+    rarely clamps needs few restarts.
+    """
+    lanes = len(guess)
+    # a running sum from offset i first writes it to w[i]
+    steps = w[1:].reshape(lanes, _BLOCK)
+    # guess[j, t] is the offset after j * _BLOCK + t steps, walked from guess[j, 0]
+    guess[:, 0] = 0.0
+    guess[0, 0] = w[0]
+    nxt = np.empty(lanes)
+    for t in range(_BLOCK):
+        np.add(guess[:, t], steps[:, t], out=nxt)
+        nxt[nxt <= -beta] = -beta  # ties fall as in min(beta, max(-beta, x))
+        nxt[nxt >= beta] = beta
+        guess[:, t + 1] = nxt
+    # block 0 is already right; block j starts at block j-1's end
+    for j in range(1, lanes):
+        row = guess[j]
+        pattern = row.view(np.int64)  # compared bit for bit, signed zeros too
+        run = w[j * _BLOCK:(j + 1) * _BLOCK + 1]
+        e, t = guess[j - 1, _BLOCK], 0
+        while e.view(np.int64) != pattern[t]:
+            row[t] = e
+            if t == _BLOCK:
+                break
+            run[t] = e
+            sums = np.cumsum(run[t:])[1:]
+            # the sums are the walk up to the first clamp or meeting
+            stop = (np.abs(sums) >= beta) | (sums.view(np.int64) == pattern[t + 1:])
+            c = int(np.argmax(stop))
+            if not stop[c]:
+                row[t + 1:] = sums
+                break
+            row[t + 1:t + 1 + c] = sums[:c]
+            t += c + 1
+            e = np.float64(min(beta, max(-beta, float(sums[c]))))
+    # every step is used, so w takes the walk
+    w[:-1].reshape(lanes, _BLOCK)[:] = guess[:, :-1]
+    w[-1] = guess[-1, -1]
 
 
 @dataclass(frozen=True)
@@ -292,35 +345,42 @@ class MarkovSource:
     """Bits whose zero-probability, given the previous k bits, stays within
     kappa of the base marginal p0.  The first k bits use the base marginal.
 
-    ``table`` maps each k-bit history string to the probability of emitting 0.
+    ``table`` maps each k-bit history string to the probability of emitting 0;
+    it is kept as a read-only view, validated once into the array that
+    :meth:`cond_zero_probs` returns.
     """
 
     k: int
     kappa: float
     p0: float
     table: Mapping[str, float]
+    _cond: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "table", dict(self.table))
+        table = _mapping(self.table, "table")
+        object.__setattr__(self, "table", MappingProxyType(table))
         object.__setattr__(self, "k", check_markov_k(self.k))
         _interval("kappa", self.kappa, 0, math.inf, "[]")
         _interval("p0", self.p0, 0, 1)
         want = 1 << self.k
-        if len(self.table) != want:
+        if len(table) != want:
             raise ValidationError(
                 f"table must cover all {want} histories of length {self.k}, "
-                f"got {len(self.table)} entries")
-        p = self.cond_zero_probs()
+                f"got {len(table)} entries")
+        p = _keyed_array(table, self.k, "table", "bad history key {!r}")
         for bad, what in ((~((p >= 0.0) & (p <= 1.0)), "outside [0,1]"),  # NaN too
                           (np.abs(p - self.p0) > self.kappa + 1e-15,
                            f"deviates from p0 = {self.p0} by more than kappa = {self.kappa}")):
             if bad.any():
                 i = int(np.argmax(bad))
                 raise ValidationError(f"P(0|{format_bits(i, self.k)}) = {p[i]} {what}")
+        p.flags.writeable = False
+        object.__setattr__(self, "_cond", p)
 
     def cond_zero_probs(self) -> np.ndarray:
-        """P(bit = 0 | history) indexed by the history's MSB-first integer value."""
-        return _keyed_array(self.table, self.k, "table", "bad history key {!r}")
+        """P(bit = 0 | history) indexed by the history's MSB-first integer
+        value, as a read-only array."""
+        return self._cond
 
 
 @dataclass(frozen=True)
@@ -335,7 +395,7 @@ class PairwiseSource:
     pair_dists: tuple
 
     def __init__(self, pair_dists):
-        dists = tuple(dict(d) for d in pair_dists)
+        dists = tuple(_mapping(d, f"pair_dists[{i}]") for i, d in enumerate(pair_dists))
         if not dists:
             raise ValidationError("need at least one pair distribution")
         object.__setattr__(self, "pair_dists", dists)
@@ -361,43 +421,104 @@ class PairwiseSource:
 SourceSpec = Union[ConstantSource, DriftingSource, MarkovSource, PairwiseSource]
 
 
-def _bits_from_zero_probs(q0: np.ndarray, rng) -> BitString:
-    # one uniform draw per bit, compared against the zero-probability
-    u = rng.random(len(q0))
-    return BitString.from_array((u >= q0).astype(np.uint8))
+def _spans(n: int):
+    """``(lo, hi)`` of each chunk of an n-bit run, in order."""
+    return ((lo, min(lo + _STREAM, n)) for lo in range(0, n, _STREAM))
 
 
-def _markov_bits(spec: MarkovSource, n: int, rng) -> np.ndarray:
-    """Bit i is 1 iff uniform draw i >= P(0 | the previous k bits), or >= p0
-    for the first k bits; bit-identical to a loop over i.
+def _shift_in(h: int, bits: np.ndarray, mask: int) -> int:
+    """The history ``h`` after the bits ``bits``, keeping ``mask``'s bits."""
+    for bit in bits.tolist():
+        h = ((h << 1) | bit) & mask
+    return h
 
-    The draws after the first k are cut into blocks of ``_BLOCK``, and one
-    lockstep pass runs every block from a guessed history of 0.  The blocks
-    are then repaired in order from the true history: once it equals the
-    guessed one the rest of the block is already right, and until then a
-    scalar loop over Python lists advances it.  The histories meet once k
-    bits in a row come out the same on both sides.
+
+def _constant_chunks(p0: float, n: int, rng):
+    u = np.empty(min(n, _STREAM))
+    bits = np.empty(len(u), dtype=np.uint8)
+    for lo, hi in _spans(n):
+        m = hi - lo
+        rng.random(out=u[:m])
+        np.greater_equal(u[:m], p0, out=bits[:m])
+        yield bits[:m], None
+
+
+def _walk_chunks(params: DriftParams, n: int, rng, guess: np.ndarray):
+    """The offsets of an n-bit walk, one array per chunk: eps_1 = 0, then one
+    step uniform in [-delta, delta] from ``rng`` per offset.  Each chunk's
+    walk starts from the last offset of the chunk before.  ``guess`` is the
+    lockstep pass's (lanes, _BLOCK + 1) scratch buffer, free for other use
+    while a chunk is out."""
+    beta, delta = params.beta, params.delta
+    w = np.zeros(len(guess) * _BLOCK + 1)
+    for lo, hi in _spans(n):
+        first = int(lo == 0)  # chunk 0 holds eps_1 itself, so one step fewer
+        s = hi - lo - first
+        rows = max(1, -(-s // _BLOCK))
+        # what Generator.uniform(-delta, delta) draws: low + (high - low) * u
+        steps = w[1:s + 1]
+        rng.random(out=steps)
+        steps *= delta - -delta
+        steps += -delta
+        # past step s, w holds the last chunk's steps: they move only
+        # offsets that are never read
+        _walk(w[:rows * _BLOCK + 1], guess[:rows], beta)
+        yield w[1 - first:s + 1]
+        w[0] = w[s]
+
+
+def _drift_chunks(spec: DriftingSource, n: int, seed: int):
+    # one buffer holds the walk's lockstep guesses while a chunk is walked,
+    # then that chunk's zero-probabilities q0
+    lanes = max(1, -(-min(n, _STREAM) // _BLOCK))
+    q0 = np.empty(lanes * (_BLOCK + 1))
+    draws = np.random.default_rng(seed)
+    if spec.trajectory == "walk":
+        # the walk's n - 1 steps come first in the seed's stream, then one
+        # draw per bit: a second generator skips the steps to reach the draws
+        offsets = _walk_chunks(spec.params, n, np.random.default_rng(seed),
+                               q0.reshape(lanes, _BLOCK + 1))
+        draws.bit_generator.advance(max(n - 1, 0))
+    else:
+        offsets = (spec._offsets(lo, hi) for lo, hi in _spans(n))
+    u = np.empty(min(n, _STREAM))
+    bits = np.empty(len(u), dtype=np.uint8)
+    for eps in offsets:
+        m = len(eps)
+        np.subtract(spec.params.p0, eps, out=q0[:m])
+        draws.random(out=u[:m])
+        np.greater_equal(u[:m], q0[:m], out=bits[:m])
+        yield bits[:m], eps
+
+
+def _markov_bits(draws: np.ndarray, h: int, cond: np.ndarray, cl: list,
+                 bits: np.ndarray, hist: np.ndarray) -> None:
+    """bits[j, t] = 1 iff draws[j, t] >= cond[the k-bit history before it],
+    the draws read row by row after the history ``h``; bit-identical to a
+    loop over the draws.  ``cl`` is ``cond`` as a list, and ``hist`` a
+    (rows, _BLOCK + 1) uint16 scratch buffer (k <= 16 fits).
+
+    One lockstep pass runs block 0 from ``h`` and every other block from a
+    guessed history of 0.  Those blocks are then repaired in order from the
+    true history: once it equals the guessed one the rest of the block is
+    already right, and until then a scalar loop over Python lists advances
+    it.  The histories meet once k bits in a row come out the same on both
+    sides.
     """
-    k, mask, cond = spec.k, (1 << spec.k) - 1, spec.cond_zero_probs()
-    head = min(k, n)
-    lanes = -(-(n - head) // _BLOCK)
-    u = np.zeros(head + lanes * _BLOCK)
-    rng.random(out=u[:n])
-    out = np.empty(n, dtype=np.uint8)
-    out[:head] = u[:head] >= spec.p0
-    h = int(out[:head] @ (1 << np.arange(head - 1, -1, -1)))
-    draws = u[head:].reshape(lanes, _BLOCK)
-    bits = np.empty((lanes, _BLOCK), dtype=np.uint8)
-    # hist[j, t] is the guessed history before draw t of block j; k <= 16 fits
-    hist = np.zeros((lanes, _BLOCK + 1), dtype=np.uint16)
+    mask = len(cl) - 1
+    # hist[j, t] is the guessed history before draw t of block j
+    hist[:, 0] = 0
+    hist[0, 0] = h
     for t in range(_BLOCK):
         bits[:, t] = draws[:, t] >= cond[hist[:, t]]
         hist[:, t + 1] = ((hist[:, t] << 1) | bits[:, t]) & mask
-    cl = cond.tolist()
-    for j in range(lanes):
+    for j in range(len(draws)):
         if h != hist[j, 0]:
-            ul, hl, fixed = draws[j].tolist(), hist[j].tolist(), bytearray()
+            # the histories mostly meet within k + a few bits: list a prefix
+            ul, hl, fixed = draws[j, :64].tolist(), hist[j, :64].tolist(), bytearray()
             for t in range(_BLOCK):
+                if t == len(ul):
+                    ul, hl = draws[j].tolist(), hist[j].tolist()
                 if h == hl[t]:
                     break
                 bit = ul[t] >= cl[h]
@@ -407,8 +528,81 @@ def _markov_bits(spec: MarkovSource, n: int, rng) -> np.ndarray:
             if len(fixed) == _BLOCK:
                 continue  # never met: h is already the true history
         h = int(hist[j, _BLOCK])
-    out[head:] = bits.reshape(-1)[:n - head]
-    return out
+
+
+def _markov_chunks(spec: MarkovSource, n: int, rng):
+    """Bit i is 1 iff uniform draw i >= P(0 | the previous k bits), or >= p0
+    for the first k bits of the run; the history carries over from chunk to
+    chunk."""
+    k, cond = spec.k, spec.cond_zero_probs()
+    cl, mask = cond.tolist(), len(cond) - 1
+    lanes = -(-min(n, _STREAM) // _BLOCK)
+    # the head's draws sit before the lanes, which may run past the chunk
+    u = np.zeros(k + lanes * _BLOCK)
+    bits = np.empty(len(u), dtype=np.uint8)
+    hist = np.empty((lanes, _BLOCK + 1), dtype=np.uint16)
+    h = 0
+    for lo, hi in _spans(n):
+        m = hi - lo
+        rng.random(out=u[:m])
+        head = min(max(k - lo, 0), m)
+        np.greater_equal(u[:head], spec.p0, out=bits[:head])
+        h = _shift_in(h, bits[:head], mask)
+        rows = -(-(m - head) // _BLOCK)
+        if rows:
+            lane = slice(head, head + rows * _BLOCK)
+            _markov_bits(u[lane].reshape(rows, _BLOCK), h, cond, cl,
+                         bits[lane].reshape(rows, _BLOCK), hist[:rows])
+            h = _shift_in(h, bits[max(head, m - k):m], mask)
+        yield bits[:m], None
+
+
+def _pairwise_chunks(spec: PairwiseSource, n: int, rng):
+    """One uniform draw per pair against its slot's cumulative weights; the
+    slot index carries over from chunk to chunk, whose lengths are even."""
+    cum = np.cumsum(spec.pair_matrix(len(spec.pair_dists)), axis=1)
+    pairs = min(n, _STREAM) // 2
+    u, cut = np.empty((2, pairs))
+    slot = np.arange(pairs) % len(cum)  # of each pair in the chunk
+    idx = np.empty(pairs, dtype=np.uint8)  # pair value 0..3
+    up = np.empty(pairs, dtype=np.uint8)
+    bits = np.empty(2 * pairs, dtype=np.uint8)
+    for lo, hi in _spans(n):
+        p = (hi - lo) // 2
+        rng.random(out=u[:p])
+        idx[:p] = 0
+        for c in range(3):
+            np.take(cum[:, c], slot[:p], out=cut[:p])
+            np.greater_equal(u[:p], cut[:p], out=up[:p])
+            idx[:p] += up[:p]
+        np.right_shift(idx[:p], 1, out=bits[0:2 * p:2])
+        np.bitwise_and(idx[:p], 1, out=bits[1:2 * p:2])
+        yield bits[:2 * p], None
+        slot += pairs  # every chunk but the last has this many
+        slot %= len(cum)
+
+
+def _chunks(spec: SourceSpec, n: int, seed: int):
+    """Check (spec, n, seed), then return an iterator over the run's chunks
+    of ``_STREAM`` bits (the last may be shorter), each ``(bits, eps)``:
+    the chunk's 0/1 ``uint8`` bits and, for a drifting source, its offsets
+    (None for other sources).  Both are buffers the iterator reuses, so read
+    a chunk before asking for the next."""
+    n = _integer("n", n, 0)
+    seed = _integer("seed", seed, 0)
+    if isinstance(spec, ConstantSource):
+        return _constant_chunks(spec.p0, n, np.random.default_rng(seed))
+    if isinstance(spec, DriftingSource):
+        if spec.trajectory != "walk":
+            spec._deterministic(n)
+        return _drift_chunks(spec, n, seed)
+    if isinstance(spec, MarkovSource):
+        return _markov_chunks(spec, n, np.random.default_rng(seed))
+    if isinstance(spec, PairwiseSource):
+        if n % 2:
+            raise ValidationError("pairwise source emits whole pairs; n must be even")
+        return _pairwise_chunks(spec, n, np.random.default_rng(seed))
+    raise ValidationError(f"unknown source spec {spec!r}")
 
 
 def sample(spec: SourceSpec, n: int, seed: int) -> tuple[BitString, Optional[DriftTrace]]:
@@ -417,43 +611,24 @@ def sample(spec: SourceSpec, n: int, seed: int) -> tuple[BitString, Optional[Dri
     A drifting source also returns its realized trace; other sources return
     None in the second slot.
 
-    Each bit compares one uniform draw with its zero-probability.  The walk
-    trace and the Markov bits are defined one step at a time; both are
-    computed block-parallel (``DriftingSource._walk``, ``_markov_bits``) and
-    are bit-identical to the step-by-step definitions.  A pairwise source
+    The result is the concatenation of the run's chunks.  Each bit compares
+    one uniform draw with its zero-probability.  The walk trace and the
+    Markov bits are defined one step at a time; both are computed
+    block-parallel (``_walk``, ``_markov_bits``) from the state the chunk
+    before left, and are bit-identical to the step-by-step definitions.  A
+    walk draws its n - 1 steps before its n bit draws.  A pairwise source
     draws one uniform per pair against that slot's cumulative weights.
     """
     n = _integer("n", n, 0)
-    rng = np.random.default_rng(_integer("seed", seed, 0))
-
-    if isinstance(spec, ConstantSource):
-        return _bits_from_zero_probs(np.full(n, spec.p0), rng), None
-
-    if isinstance(spec, DriftingSource):
-        if spec.trajectory == "walk":
-            trace = spec._walk(n, rng)  # consumes rng before the bit draws
-        else:
-            trace = spec.realized_trace(n)
-        return _bits_from_zero_probs(spec.params.p0 - trace.epsilons, rng), trace
-
-    if isinstance(spec, MarkovSource):
-        return BitString.from_array(_markov_bits(spec, n, rng)), None
-
-    if isinstance(spec, PairwiseSource):
-        if n % 2:
-            raise ValidationError("pairwise source emits whole pairs; n must be even")
-        cum = np.cumsum(spec.pair_matrix(len(spec.pair_dists)), axis=1)
-        u = rng.random(n // 2)
-        slot = np.arange(n // 2) % len(cum)
-        idx = np.zeros(n // 2, dtype=np.uint8)  # pair value 0..3
-        for c in range(3):
-            idx += u >= cum[slot, c]
-        out = np.empty(n, dtype=np.uint8)
-        out[0::2] = idx >> 1
-        out[1::2] = idx & 1
-        return BitString.from_array(out), None
-
-    raise ValidationError(f"unknown source spec {spec!r}")
+    bits = np.empty(n, dtype=np.uint8)
+    eps = np.empty(n) if isinstance(spec, DriftingSource) else None
+    lo = 0
+    for b, e in _chunks(spec, n, seed):
+        bits[lo:lo + len(b)] = b
+        if eps is not None:
+            eps[lo:lo + len(b)] = e
+        lo += len(b)
+    return BitString._of(bits.tobytes()), None if eps is None else DriftTrace(eps)
 
 
 def sample_symbols(probs, n: int, seed: int) -> QaryString:

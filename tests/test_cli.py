@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from debias import (BitString, ConstantSource, DriftingSource, DriftParams,
-                    MarkovExperiment, borel_counts, bounds, cli, empirical_block_dist,
-                    exact_source_dist, normalized_dist, parity_normalize, parse_bits,
+                    MarkovExperiment, MarkovSource, PairwiseSource, borel_counts, bounds,
+                    cli, empirical_block_dist, exact_source_dist, normalized_dist,
+                    parity_normalize, parse_bits,
                     peres_normalize, run_markov_experiment, sample, serialize_bits,
                     sweep, total_variation, tv_bound_exact, uniform_dist,
                     vn_normalize, write_borel_csv)
 from debias.cli import DEFAULT_SEED, build_parser, run
 from string_oracles import (borel_csv, borel_table, csv_writer_table, markov_csv,
                             sweep_csv, trace_text)
+from test_sources import STREAMS, save_markov_table, seam_cases
 
 
 def read_bits(path, fmt="ascii"):
@@ -379,3 +381,106 @@ def test_parser_built_once_and_dispatch_late_bound(monkeypatch, capsys):
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
     assert out == fresh.stdout and out.startswith("alpha 0.199999999986\n")
+
+
+def _source_flags(spec, tmp_path) -> list:
+    """``generate`` flags for ``spec``, with its parameter file written to tmp_path."""
+    if isinstance(spec, ConstantSource):
+        return ["--source", "constant", "--p0", repr(spec.p0)]
+    if isinstance(spec, MarkovSource):
+        save_markov_table(spec.table, tmp_path / "table")
+        return ["--source", "markov", "--k", str(spec.k), "--kappa", repr(spec.kappa),
+                "--p0", repr(spec.p0), "--table", str(tmp_path / "table")]
+    if isinstance(spec, PairwiseSource):
+        rows = spec.pair_matrix(len(spec.pair_dists)).tolist()
+        (tmp_path / "pairs").write_text("".join(" ".join(map(repr, r)) + "\n" for r in rows))
+        return ["--source", "pairwise", "--pairs", str(tmp_path / "pairs")]
+    p = spec.params
+    flags = ["--source", "drifting", "--p0", repr(p.p0), "--beta", repr(p.beta),
+             "--delta", repr(p.delta), "--trajectory", spec.trajectory]
+    if spec.trajectory == "sine":
+        flags += ["--period", repr(spec.period)]
+    if spec.trajectory == "fixed":
+        spec.trace.save(tmp_path / "trace.in")
+        flags += ["--trace-in", str(tmp_path / "trace.in")]
+    return flags
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("spec, oracle", [c for c in seam_cases() if c.id != "markov-k16"])
+def test_generate_chunk_seams_match_whole_run_oracles(monkeypatch, tmp_path, stream, spec,
+                                                      oracle):
+    # bits and trace are written a chunk at a time; n sits at and around the
+    # chunk edges, and only n = stream fills the packed file's last byte
+    monkeypatch.setattr("debias.sources._STREAM", stream)
+    flags = _source_flags(spec, tmp_path)
+    drifting = isinstance(spec, DriftingSource)
+    for n in (stream - 2, stream, stream + 2, 2 * stream + 3):
+        n -= n % 2 if isinstance(spec, PairwiseSource) else 0
+        want_bits, want_trace = oracle(n, n)
+        for fmt in ("ascii", "packed"):
+            out, trace = tmp_path / f"bits.{fmt}", tmp_path / "trace.txt"
+            argv = ["generate", *flags, "-n", str(n), "--seed", str(n), "--format", fmt,
+                    "-o", str(out)]
+            assert run(argv + (["--trace-out", str(trace)] if drifting else [])) == 0
+            assert out.read_bytes() == serialize_bits(want_bits, fmt), (n, fmt)
+            if drifting:
+                assert trace.read_bytes() == trace_text(want_trace).encode(), (n, fmt)
+
+
+# The child prints its own peak resident set, VmHWM, in kB.  Its ru_maxrss
+# would not do: Linux carries the high-water mark across exec, so a child
+# forked from this test process reads at least the test process's size.
+_PEAK_CHILD = """import runpy, sys
+try:
+    runpy.run_module("debias.cli", run_name="__main__", alter_sys=True)
+finally:
+    hwm = [line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")]
+    print("peak_kb", *hwm, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+@pytest.mark.parametrize("kind", ["constant", "walk", "markov", "pairwise"])
+def test_generate_memory_is_independent_of_n(tmp_path, kind):
+    (tmp_path / "table").write_text("00 0.5\n01 0.52\n10 0.48\n11 0.55\n")
+    (tmp_path / "pairs").write_text("0.1 0.2 0.3 0.4\n0.25 0.25 0.25 0.25\n")
+    flags = {"constant": ["--source", "constant", "--p0", "0.7"],
+             "walk": ["--source", "drifting", "--p0", "0.55", "--beta", "0.05",
+                      "--delta", "1e-4"],
+             "markov": ["--source", "markov", "--k", "2", "--kappa", "0.05", "--p0", "0.5",
+                        "--table", str(tmp_path / "table")],
+             "pairwise": ["--source", "pairwise", "--pairs", str(tmp_path / "pairs")]}[kind]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    peaks = []
+    for n in (10**5, 10**7):
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK_CHILD, "generate", *flags, "-n", str(n),
+             "--format", "packed", "-o", str(tmp_path / "bits")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "bits").stat().st_size == 8 + -(-n // 8)
+        peaks.append(int(done.stderr.split("peak_kb")[-1]) / 1024)
+    assert peaks[1] - peaks[0] < 20, peaks  # MiB
+
+
+@pytest.mark.parametrize("flags, body", [
+    (["--source", "markov", "--k", "1", "--kappa", "0.1", "--p0", "0.5", "--table"],
+     b"0 0.5\n\xff 0.5\n"),
+    (["--source", "pairwise", "--pairs"], b"# weights\n0.25 0.25 0.25 0.25\n0.5 \xe9 0.5 0\n"),
+    (["--source", "drifting", "--p0", "0.5", "--beta", "0.1", "--delta", "0.01",
+      "--trajectory", "fixed", "--trace-in"], b"0.0\n\n0.01\n\xc3(\n"),
+])
+def test_parameter_file_that_is_not_utf8_fails_on_its_line(tmp_path, capsys, flags, body):
+    path = tmp_path / "params"
+    path.write_bytes(body)
+    out = tmp_path / "bits"
+    assert run(["generate", *flags, str(path), "-n", "2", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    lineno = body.count(b"\n")
+    assert captured.err == f"error: {path}: line {lineno}: not UTF-8 text\n"
+    assert not out.exists()
+    # the same characters, UTF-8 encoded, are read as text: not numbers
+    path.write_bytes(body.decode("latin-1").encode("utf-8"))
+    assert run(["generate", *flags, str(path), "-n", "2", "-o", str(out)]) == 1
+    assert "not UTF-8" not in capsys.readouterr().err

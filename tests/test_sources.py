@@ -142,6 +142,22 @@ def test_markov_validation():
             MarkovSource(k=k, kappa=0.1, p0=0.5, table={})
 
 
+def test_markov_table_is_a_read_only_view_of_one_validated_array():
+    given = {"0": 0.55, "1": 0.45}
+    spec = MarkovSource(k=1, kappa=0.1, p0=0.5, table=given)
+    given["0"] = 0.9  # the source keeps its own copy
+    assert spec.table == {"0": 0.55, "1": 0.45} and len(spec.table) == 2
+    assert spec.table["1"] == 0.45 and sorted(spec.table.values()) == [0.45, 0.55]
+    with pytest.raises(TypeError):
+        spec.table["0"] = 0.9
+    p = spec.cond_zero_probs()
+    assert p is spec.cond_zero_probs() and p.tolist() == [0.55, 0.45]
+    with pytest.raises(ValueError):
+        p[0] = 0.9
+    assert spec == MarkovSource(k=1, kappa=0.1, p0=0.5, table={"1": 0.45, "0": 0.55})
+    assert "_cond" not in repr(spec)
+
+
 def test_markov_conditional_frequencies():
     table = {"00": 0.55, "01": 0.48, "10": 0.52, "11": 0.45}
     spec = MarkovSource(k=2, kappa=0.06, p0=0.5, table=table)
@@ -434,3 +450,75 @@ def test_trace_save_mostly_repr_fallback_to_an_open_file(monkeypatch, tmp_path):
         trace.save(f)
     assert (tmp_path / "t.txt").read_bytes() == trace_text(trace).encode()
     assert DriftTrace.load(tmp_path / "t.txt") == trace
+
+
+# chunk sizes for the seam tests: the smallest (one packed byte), three
+# lanes and a byte, and one that is no multiple of _BLOCK
+STREAMS = [8, 3 * BLOCK + 8, 1000]
+
+
+def _seam_lengths(stream):
+    return sorted({0, 1, 2, stream - 1, stream, stream + 1, 2 * stream - 2, 2 * stream + 3})
+
+
+def _drift_specs():
+    params = DriftParams(0.55, 0.05, 1e-4)
+    yield DriftingSource(params, trajectory="walk")
+    yield DriftingSource(DriftParams(0.55, 0.05, 0.05), trajectory="walk")  # clamps often
+    yield DriftingSource(params, trajectory="sine", period=3500.0)
+    yield DriftingSource(params, trajectory="adversarial")
+    eps = sample(DriftingSource(params), 20_000, seed=6)[1]
+    yield DriftingSource(params, trajectory="fixed", trace=eps)
+
+
+def seam_oracles():
+    """(spec, oracle(n, seed) -> (bits, trace)) for every source kind, each
+    oracle a whole-run route independent of the chunk size."""
+    def drifting(spec):
+        def run(n, seed):
+            rng = np.random.default_rng(seed)
+            if spec.trajectory == "walk":
+                trace = _walk_loop(spec.params, n, rng)
+            else:
+                trace = spec.realized_trace(n)
+            q0 = spec.params.p0 - trace.epsilons
+            return BitString.from_array(rng.random(n) >= q0), trace
+        return run
+
+    yield ConstantSource(0.7), lambda n, seed: (
+        BitString.from_array(np.random.default_rng(seed).random(n) >= 0.7), None)
+    for spec in _drift_specs():
+        yield spec, drifting(spec)
+    for spec in _markov_specs():
+        yield spec, lambda n, seed, spec=spec: (
+            _markov_loop(spec, n, np.random.default_rng(seed)), None)
+    pairs = PairwiseSource([dict(zip(PAIR_KEYS, w)) for w in
+                            ([0.1, 0.2, 0.3, 0.4], [0.4, 0.0, 0.5, 0.1], [0.25] * 4)])
+    yield pairs, lambda n, seed: (_pairwise_tiled(pairs, n, np.random.default_rng(seed)), None)
+
+
+def seam_cases():
+    for spec, oracle in seam_oracles():
+        if isinstance(spec, DriftingSource):
+            name = f"{spec.trajectory}-delta{spec.params.delta}"
+        elif isinstance(spec, MarkovSource):
+            name = "markov-" + _markov_id(spec)
+        else:
+            name = type(spec).__name__
+        yield pytest.param(spec, oracle, id=name)
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("spec, oracle", seam_cases())
+def test_chunk_seams_match_whole_run_oracles(monkeypatch, stream, spec, oracle):
+    monkeypatch.setattr("debias.sources._STREAM", stream)
+    for n in _seam_lengths(stream):
+        if isinstance(spec, PairwiseSource):
+            n -= n % 2
+        bits, trace = sample(spec, n, seed=n)
+        want_bits, want_trace = oracle(n, n)
+        assert bits == want_bits, n
+        if want_trace is None:
+            assert trace is None
+        else:
+            assert trace.epsilons.tobytes() == want_trace.epsilons.tobytes(), n

@@ -57,6 +57,10 @@ CASES = {
     "sample_symbols seed negative": lambda: sample_symbols([0.5, 0.5], 4, -1),
     "MarkovExperiment seed negative": lambda: MarkovExperiment(k=1, kappa=0.1, m=2, n=8,
                                                                samples=10, seed=-1),
+    "MarkovSource table list": lambda: MarkovSource(1, 0.1, 0.5, [0.5, 0.5]),
+    "MarkovSource table number": lambda: MarkovSource(0, 0.1, 0.5, 0.5),
+    "PairwiseSource dist list": lambda: PairwiseSource([[0.25] * 4]),
+    "PairwiseSource dist string": lambda: PairwiseSource(["0.25 0.25 0.25 0.25"]),
 }
 
 
@@ -135,3 +139,14 @@ def test_table_errors_name_the_lowest_rank_entry():
                         {"00": -0.5, "01": 0.5, "10": 0.5, "11": 0.5}])
     with pytest.raises(ValidationError, match="^pair distribution 0 sums to 0.75, expected 1$"):
         PairwiseSource([{"00": 0.0, "01": 0.25, "10": 0.25, "11": 0.25}])
+
+
+def test_table_given_as_a_list_names_the_argument():
+    with pytest.raises(ValidationError,
+                       match="^table must map 0/1 strings to numbers, got a list$"):
+        MarkovSource(1, 0.1, 0.5, [0.5, 0.5])
+    with pytest.raises(ValidationError, match=r"^pair_dists\[1\] must map 0/1 strings to numbers, "
+                                              "got a list$"):
+        PairwiseSource([dict.fromkeys(PAIR_KEYS, 0.25), [0.25] * 4])
+    # a sequence of key-value pairs is still a table
+    assert MarkovSource(1, 0.1, 0.5, [("0", 0.5), ("1", 0.5)]).table == TABLE
