@@ -107,36 +107,65 @@ _TEXT[_EXP:, :2] = ord("e"), ord("-")
 _TEXT[_EXP:, 2:] = _TEXT[:100, 2:]
 _TEXT = _TEXT.view(np.uint32).ravel()
 _FIELD = 48
+_ROWS = 512  # fields per block of the last, 12-index-per-field step of _shortest
 _MASK = np.frombuffer(b"".join(  # row 21 a + b blanks a integer and b fraction places
     b"\xff" * 4 + bytes(a) + b"\xff" * (20 - a) + bytes(b) + b"\xff" * (24 - b)
-    for a in range(17) for b in range(21)), np.uint8).reshape(-1, _FIELD)
+    for a in range(17) for b in range(21)), np.uint32).reshape(-1, _FIELD // 4)
 
 
 def _shortest(x: np.ndarray, e: np.ndarray):
     """The ``repr`` fields of the finite floats ``x`` whose exponents ``e2``
     are ``_E2[e]``, and which of them are certain: an exact tie between two
-    shortest decimals is left to ``repr``."""
-    m = x.view(np.uint64) & _MANT
-    pow2 = m == 0
-    m |= np.uint64(1 << 52)
-    # X = d + phi / 2^64: the 53 x 73-bit product M * _WIDE[e] in 32-bit columns
-    m0, m1 = m & _LO32, m >> np.uint64(32)
-    w0, w1, w2 = _W0[e], _W1[e], _W2[e]
-    p00, p01, p10 = m0 * w0, m0 * w1, m1 * w0
-    mid = (p00 >> np.uint64(32)) + (p01 & _LO32) + (p10 & _LO32)
-    phi = (p00 & _LO32) | (mid << np.uint64(32))
-    d = ((mid >> np.uint64(32)) + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32))
-         + m0 * w2 + m1 * w1 + (m1 * w2 << np.uint64(32)))
+    shortest decimals is left to ``repr``.  Each 8-byte temporary is freed,
+    or written over in place, once it is used up."""
+    u32 = np.uint64(32)
+    m0 = x.view(np.uint64) & _MANT
+    pow2 = np.flatnonzero(m0 == 0)
+    m0 |= np.uint64(1 << 52)
+    # X = d + phi / 2^64: the 53 x 73-bit product M * _WIDE[e] in 32-bit
+    # columns, summed mod 2^64 in any order
+    m1 = m0 >> u32
+    m0 &= _LO32
+    w = _W0.take(e)
+    p10 = m1 * w
+    phi = m0 * w  # p00
+    _W1.take(e, out=w)
+    p01 = m0 * w
+    mid = phi >> u32
+    phi &= _LO32
+    mid += p01 & _LO32
+    mid += p10 & _LO32
+    phi |= mid << u32
+    d = mid
+    d >>= u32
+    p01 >>= u32
+    d += p01
+    p10 >>= u32
+    d += p10
+    del p01, p10
+    np.multiply(m1, w, out=w)  # m1 * w1
+    d += w
+    _W2.take(e, out=w)
+    m0 *= w
+    d += m0
+    m1 *= w
+    m1 <<= u32
+    d += m1
+    del m0, m1, w
     # hi and lo: the integers just below the ends of the round-trip interval,
     # X plus and minus half the gap to a neighbour.  An end is an integer
     # only if 53 - e2 <= q, that is for e2 > 50, so whether the interval
     # holds its ends (it does for even M) never matters here.
-    gi, gf = _GI[e], _GF[e]
-    top = phi + gf
-    hi = d + gi + (top < phi)
-    gf = np.where(pow2, (gf >> np.uint64(1)) | (gi << np.uint64(63)), gf)
-    gi = np.where(pow2, gi >> np.uint64(1), gi)
-    lo = d - gi - (phi < gf)
+    gi, gf = _GI.take(e), _GF.take(e)
+    carry = phi + gf < phi
+    hi = d + gi
+    hi += carry
+    gf[pow2] = (gf[pow2] >> np.uint64(1)) | (gi[pow2] << np.uint64(63))
+    gi[pow2] >>= np.uint64(1)
+    lo = d - gi
+    lo -= phi < gf
+    exact = phi == 0
+    del gi, gf, phi, pow2, carry
     # k: the most places a multiple of 10^k inside the interval drops; at
     # least 1, as the interval is wider than 10, and a multiple of 10^(k+1)
     # inside is a multiple of 10^k
@@ -146,22 +175,40 @@ def _shortest(x: np.ndarray, e: np.ndarray):
         if not more.any():
             break
         k += more
+    del more
     # of the two multiples of 10^k around X, the one inside, or else the nearer
-    p = _POW10[k]
+    p = _POW10.take(k)
     t = d // p
-    r = d - t * p
+    tp = t * p
+    r = d
+    r -= tp
+    del d
+    down = tp > lo
+    tp += p
+    up = tp <= hi
+    del tp, hi, lo
     half = p >> np.uint64(1)
-    down = t * p > lo
-    up = (t + np.uint64(1)) * p <= hi
-    tie = down & up & (r == half) & (phi == 0)
-    up &= ~down | (r > half) | ((r == half) & (phi != 0))
-    c = t + up
+    eq = r == half
+    above = r > half
+    del r, half
+    tie = down & up & eq & exact
+    up &= ~down | above | (eq & ~exact)
+    del down, eq, above, exact
+    c = t
+    c += up
+    del up
     # repr's layout: x = 0.(the digits of c) 10^point
-    digits = 18 + (c * p >= _POW10[18]) - k
-    point = digits + k - _Q[e]
+    p *= c
+    digits = (p >= _POW10[18]) - k
+    digits += 18
+    del p
+    point = digits + k
+    point -= _Q.take(e)
+    del k
     sci = point <= -4  # x < 2^51 is below 10^16, so never large enough for e+
     lead = np.where(sci, 1, point)  # digits before the point
     frac = digits - lead  # digits after it, if positive
+    del digits
     shown = np.where(sci, frac, np.maximum(frac, 1))
     # the integer and fraction digits, 4 to a group; the integer part is
     # below 10^16, so its top group is the sign's
@@ -170,18 +217,30 @@ def _shortest(x: np.ndarray, e: np.ndarray):
     v[:, 0] = c // p
     v[:, 1] = c - v[:, 0] * p
     v[:, 0] *= _POW10[np.clip(-frac, 0, 19)]
+    del c, p, frac
     g = np.empty((len(x), 2, 6), np.uint16)
+    q = np.empty_like(v)
     for i in range(4, 0, -1):
-        q = v // np.uint64(10000)
-        g[:, :, i] = v - q * np.uint64(10000)
-        v = q
+        np.floor_divide(v, np.uint64(10000), out=q)
+        v -= q * np.uint64(10000)
+        g[:, :, i] = v
+        v, q = q, v
     g[:, 1, 0] = v[:, 1]
+    del v, q
     g[:, 0, 0] = np.where(x < 0, _MINUS, _NUL)
     g[:, 0, 5] = np.where(shown > 0, _DOT, _NUL)
     g[:, 1, 5] = np.where(sci, _EXP + 1 - point, _NUL)
-    text = _TEXT.take(g).view(np.uint8).reshape(len(x), _FIELD)
-    text &= _MASK.take((16 - np.maximum(lead, 1)) * 21 + 20 - shown, axis=0)
-    return text, ~tie
+    del point, sci
+    np.maximum(lead, 1, out=lead)
+    row = (16 - lead) * 21 + 20 - shown  # of _MASK
+    del lead, shown
+    # _ROWS rows at a time: take casts its indices to 8 bytes each
+    text = np.empty((len(x), 12), np.uint32)
+    for lo in range(0, len(x), _ROWS):
+        block = text[lo:lo + _ROWS]
+        _TEXT.take(g[lo:lo + _ROWS], out=block.reshape(-1, 2, 6), mode="clip")
+        block &= _MASK.take(row[lo:lo + _ROWS], axis=0)
+    return text.view(np.uint8), ~tie
 
 
 def _repr_floats(x) -> np.ndarray:

@@ -19,7 +19,8 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import bounds, markov, normalize, sources, stats
-from .bits import _header, _payload, parse_bits, serialize_bits
+from .bits import _header, _payload, parse_bits
+from .bits import serialize_bits  # noqa: F401  (perfbench's tracer wraps cli.serialize_bits)
 from .errors import ConvergenceError, ValidationError, _integer, _interval
 from .exactdist import (MAX_ENUM_N, DistributionTable, exact_source_dist, normalized_dist,
                         total_variation, uniform_dist)
@@ -95,37 +96,38 @@ def cmd_generate(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    bits = _read_bits(args.input, args.format)
-    if args.method == "vn":
-        out = normalize.vn_normalize(bits)
-    elif args.method == "peres":
-        out = normalize.peres_normalize(bits)
-    else:
-        out = normalize.parity_normalize(bits, args.block)
+    """Write the output chunk by chunk as the normalization yields it; the
+    input is read whole, and the method checked before the file is opened."""
+    n_out, chunks = normalize._chunks(_read_bits(args.input, args.format), args.method,
+                                      args.block)
     with open(args.out, "wb") as f:
-        f.write(serialize_bits(out, args.format))
+        f.write(_header(n_out, args.format))
+        for bits in chunks:
+            f.write(_payload(bits.tobytes(), args.format))
     return 0
 
 
 def cmd_analyze(args) -> int:
     """Block counts for m = 1..--max-m in --mode, each followed by the TV of
     the disjoint m-blocks' frequencies to uniform (whatever the mode); the
-    CSV holds every report under one header.  All counting is done before
-    the CSV is written and before anything is printed."""
+    CSV holds every report under one header.  Every table, the TV's and
+    the ones frequency's too, comes from one window pass
+    (:func:`stats.borel_series`), done before the CSV is written and
+    before anything is printed."""
     bits = _read_bits(args.input, args.format)
-    limit = min(len(bits), MAX_ENUM_N)
+    n = len(bits)
+    limit = min(n, MAX_ENUM_N)
     _integer("--max-m", args.max_m, 1, limit, f"min(input length, MAX_ENUM_N) = {limit}")
-    reports = [stats.borel_counts(bits, m, args.mode) for m in range(1, args.max_m + 1)]
+    reports, disjoint = stats.borel_series(bits, args.max_m, args.mode)
     if args.csv:
         stats.write_borel_csv(reports, args.csv)
     for r in reports:
-        emp = (DistributionTable(r.m, r.counts / r.total) if r.mode == "non-overlapping"
-               else stats.empirical_block_dist(bits, r.m))
-        tv = total_variation(emp, uniform_dist(r.m))
+        tv = total_variation(DistributionTable(r.m, disjoint[r.m] / (n // r.m)),
+                             uniform_dist(r.m))
         print(r.format_table())
         print(f"m={r.m} empirical TV to uniform: {_fmt(tv)}")
         if r.m == 1:
-            print(f"ones frequency: {_fmt(bits.count(1) / len(bits))}")
+            print(f"ones frequency: {_fmt(disjoint[1][1] / n)}")
     return 0
 
 
@@ -214,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", help="write the realized drift trace here")
 
     p = sub.add_parser("normalize", help="un-bias a bit file")
-    p.add_argument("--method", required=True, choices=["vn", "peres", "parity"])
+    p.add_argument("--method", required=True, choices=list(normalize.METHODS))
     p.add_argument("--block", type=int, default=2, help="parity block length")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--out", required=True)

@@ -5,6 +5,11 @@ equal pairs; a trailing odd bit is ignored.  The iterated variant reuses the
 pair-XOR stream and the first bits of the discarded pairs to squeeze out more
 output.  The parity method XORs disjoint fixed-size blocks.  All operations
 here are pure.
+
+Each of the three methods has one route, :func:`_chunks`, which yields its
+output in pieces of about ``_OUT`` bits; ``normalize`` writes them as they
+come, and ``vn_normalize``, ``peres_normalize`` and ``parity_normalize``
+return their concatenation.  The input is held whole.
 """
 
 from __future__ import annotations
@@ -14,10 +19,17 @@ from itertools import combinations
 import numpy as np
 
 from .bits import BitString, QaryString, rank_bits
-from .errors import _integer
+from .errors import ValidationError, _integer
 from .exactdist import _check_enum_guard
 
+METHODS = ("vn", "peres", "parity")
+
 _PREIMAGE_ROWS = 1 << 10  # members built per block, which bounds the scratch
+
+# bits per block of a normalization: the input pairs or output bits of a
+# piece, the pairs per step of a Peres level, the bits per move of a drop
+# and the output bits per int32 gather index block (256 KiB)
+_OUT = 1 << 16
 
 
 def vn_encode(y: BitString) -> BitString:
@@ -31,11 +43,7 @@ def vn_encode(y: BitString) -> BitString:
 
 def vn_normalize(x: BitString) -> BitString:
     """Von Neumann output over all disjoint pairs; trailing odd bit ignored."""
-    arr = x.to_array()
-    k = len(arr) // 2
-    a = arr[0 : 2 * k : 2]
-    b = arr[1 : 2 * k : 2]
-    return BitString.from_array(a[a != b])
+    return _joined(x, "vn")
 
 
 def vn_preimage(y: BitString, n: int) -> set[BitString]:
@@ -78,63 +86,171 @@ def vn_preimage(y: BitString, n: int) -> set[BitString]:
 
 def peres_normalize(x: BitString) -> BitString:
     """Iterated von Neumann extraction: the plain output, then recursion on
-    the pair-XOR stream and on the discarded-pair halves.
+    the pair-XOR stream and on the discarded-pair halves (see
+    :func:`_peres`)."""
+    return _joined(x, "peres")
+
+
+def parity_normalize(x: BitString, block: int) -> BitString:
+    """XOR of each disjoint ``block``-bit group; trailing partial block dropped."""
+    return _joined(x, "parity", block)
+
+
+def _joined(x: BitString, method: str, block: int = 2) -> BitString:
+    return BitString._of(b"".join(_chunks(x, method, block)[1]))
+
+
+def _chunks(x: BitString, method: str, block: int = 2):
+    """``(n_out, chunks)``: the output length of ``x`` normalized by
+    ``method`` ("vn", "peres", or "parity" over ``block``-bit groups), and
+    an iterator over that output as 0/1 ``uint8`` arrays whose lengths are
+    multiples of 8 but for the last.  The arguments are checked, and the
+    Peres levels run, before this returns."""
+    arr = x.to_array()
+    if method == "vn":
+        pairs = len(arr) // 2
+        spans = [(2 * lo, 2 * min(lo + _OUT, pairs)) for lo in range(0, pairs, _OUT)]
+        n_out = sum(np.count_nonzero(arr[lo:hi:2] != arr[lo + 1:hi:2]) for lo, hi in spans)
+        pieces = (np.compress(arr[lo:hi:2] != arr[lo + 1:hi:2], arr[lo:hi:2]) for lo, hi in spans)
+    elif method == "peres":
+        n_out, pieces = _peres(arr)
+    elif method == "parity":
+        block = _integer("block length", block, 2)
+        n_out = len(arr) // block
+        pieces = (np.bitwise_xor.reduce(
+            arr[lo * block:min(lo + _OUT, n_out) * block].reshape(-1, block), axis=1)
+            for lo in range(0, n_out, _OUT))
+    else:
+        raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
+    return int(n_out), _bytewise(pieces)
+
+
+def _bytewise(pieces):
+    """The concatenation of ``pieces``, re-cut so that every piece but the
+    last holds a multiple of 8 bits (an empty input yields nothing)."""
+    carry = np.empty(0, np.uint8)
+    for p in pieces:
+        if len(carry):
+            p = np.concatenate([carry, p])
+        cut = len(p) & ~7
+        if cut:
+            yield p[:cut]
+        carry = p[cut:]
+    if len(carry):
+        yield carry
+
+
+def _pair_pass(data: np.ndarray, starts: np.ndarray, bits: np.ndarray, n_out: int):
+    """One level of :func:`_peres`, ``_OUT`` pairs at a time.  ``data``
+    holds even-length segments whose first pairs are ``starts``.  The first
+    bit of each unequal pair goes to ``bits`` from ``n_out`` on.  Returns
+    the next level's data (the XOR of every pair, then the first bit of
+    every equal pair), the number of unequal pairs in each segment, and
+    the new ``n_out``.  The counts are reduced per block in ``int32`` and
+    ``compress`` indexes a block at a time, so no per-pair array wider than
+    a byte is made."""
+    h = len(data) // 2
+    kept = np.zeros(len(starts), np.int64)
+    nxt = np.empty(2 * h, np.uint8)  # room for every pair to be equal
+    w = h
+    for lo in range(0, h, _OUT):
+        hi = min(lo + _OUT, h)
+        a, b = data[2 * lo:2 * hi:2], data[2 * lo + 1:2 * hi:2]
+        diff = a != b
+        # the segment that holds pair lo, then those that start in the block
+        i, j = np.searchsorted(starts, lo, side="right"), np.searchsorted(starts, hi)
+        sums = np.add.reduceat(diff, np.concatenate([[lo], starts[i:j]]) - lo, dtype=np.int32)
+        kept[i - 1:j] += sums
+        k = int(sums.sum())
+        np.compress(diff, a, out=bits[n_out:n_out + k])
+        n_out += k
+        np.bitwise_xor(a, b, out=nxt[lo:hi])
+        np.compress(np.logical_not(diff, out=diff), a, out=nxt[w:w + hi - lo - k])
+        w += hi - lo - k
+    return nxt[:w], kept, n_out
+
+
+def _drop(data: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``data`` without its elements at the increasing positions ``at``,
+    moved up in place a block of ``_OUT`` at a time."""
+    w = j = 0
+    for lo in range(0, len(data), _OUT):
+        hi = min(lo + _OUT, len(data))
+        i, j = j, int(np.searchsorted(at, hi))
+        if i == j and w == lo:
+            w = hi  # nothing dropped so far: the block stays where it is
+            continue
+        block = data[lo:hi]
+        if i < j:
+            keep = np.ones(hi - lo, bool)
+            keep[at[i:j] - lo] = False
+            block = block[keep]
+        data[w:w + len(block)] = block
+        w += len(block)
+    return data[:w]
+
+
+def _peres(arr: np.ndarray):
+    """``(n_out, pieces)`` of Peres's iterated von Neumann extraction.
 
     The recursion tree is processed one level at a time, with every segment
     of a level in one array; a segment's odd trailing bit is dropped up
     front, as the recursion ignores it.  Each node has a preorder key in
     base 3: one digit per level, 1 for the XOR child and 2 for the
     discarded-halves child, and the node's own output takes digit 0 below
-    its path.  Sorting the keys puts the outputs in recursion order, and
-    one gather moves the bits there.
+    its path.  Every level's output goes to one buffer, in level order;
+    sorting the keys puts the output pieces in recursion order, and the
+    pieces are then gathered ``_OUT`` output bits at a time, through
+    ``int32`` index blocks.  Apart from that buffer and the next level's
+    data, a level's scratch is a few integers per segment.
     """
-    arr = x.to_array()
     data = arr[: len(arr) & ~1]
-    lens = np.array([len(data)] if len(data) else [], dtype=np.int64)
-    keys = np.zeros(len(lens), dtype=np.int64)
+    if not len(data):
+        return 0, iter(())
+    bits = np.empty(len(data), np.uint8)  # the outputs: at most one per input bit
+    n_out = 0
+    pairs = np.array([len(data) // 2])
+    keys = np.zeros(1, dtype=np.int64)
     # weight of this level's digit; a segment at depth d has at most
     # len >> d bits, so every level that still pairs bits has a weight >= 3
     place = 3 ** max(len(arr).bit_length() - 1, 0)
-    out, out_keys, out_lens = [], [], []
-    while len(lens):
-        a, b = data[0::2], data[1::2]
-        diff = a != b
-        pairs = lens // 2
-        kept = np.add.reduceat(diff, np.cumsum(pairs) - pairs, dtype=np.int64)
-        out.append(a[diff])
+    out_keys, out_lens = [], []
+    while len(pairs):
+        nxt, kept, n_out = _pair_pass(data, np.cumsum(pairs) - pairs, bits, n_out)
         out_keys.append(keys[kept > 0])
         out_lens.append(kept[kept > 0])
-        data = np.concatenate([a ^ b, a[~diff]])
         lens = np.concatenate([pairs, pairs - kept])
         keys = np.concatenate([keys + place, keys + 2 * place])
         place //= 3
         odd = lens % 2 == 1
-        if odd.any():
-            keep = np.ones(len(data), dtype=bool)
-            keep[np.cumsum(lens)[odd] - 1] = False
-            data = data[keep]
-            lens = lens - odd
-        lens, keys = lens[lens > 0], keys[lens > 0]
-    if not out:
-        return BitString()
-    bits, lens = np.concatenate(out), np.concatenate(out_lens)
+        data = _drop(nxt, np.cumsum(lens)[odd] - 1) if odd.any() else nxt
+        lens -= odd
+        pairs, keys = lens[lens > 0] // 2, keys[lens > 0]
+    lens = np.concatenate(out_lens)
     order = np.argsort(np.concatenate(out_keys))  # keys are distinct
-    src = (np.cumsum(lens) - lens)[order]  # chunk starts in level order
+    src = (np.cumsum(lens) - lens)[order]  # piece starts in level order
     lens = lens[order]
-    # output bit i of a chunk starting at dst is bit i - dst + src of `bits`
-    itype = np.int32 if len(bits) < 2**31 else np.int64  # halves the index memory
-    idx = np.repeat((src - (np.cumsum(lens) - lens)).astype(itype), lens)
-    idx += np.arange(len(bits), dtype=itype)
-    return BitString.from_array(bits[idx])
+    ends = np.cumsum(lens)  # piece ends in recursion order
+    # output bit i of a piece ending at e is bit i - (e - len) + src of `bits`
+    shift = src - (ends - lens)
+    return n_out, _gather(bits[:n_out], ends, shift)
 
 
-def parity_normalize(x: BitString, block: int) -> BitString:
-    """XOR of each disjoint ``block``-bit group; trailing partial block dropped."""
-    block = _integer("block length", block, 2)
-    arr = x.to_array()
-    k = len(arr) // block
-    grouped = arr[: k * block].reshape(k, block)
-    return BitString.from_array(np.bitwise_xor.reduce(grouped, axis=1))
+def _gather(bits: np.ndarray, ends: np.ndarray, shift: np.ndarray):
+    """``bits[i + shift[p]]`` for each output bit i, piece p being the one
+    with ``ends[p - 1] <= i < ends[p]``, ``_OUT`` bits at a time."""
+    itype = np.int32 if len(bits) < 2**31 else np.int64
+    for lo in range(0, len(bits), _OUT):
+        hi = min(lo + _OUT, len(bits))
+        i = np.searchsorted(ends, lo, side="right")  # the piece that holds bit lo
+        j = np.searchsorted(ends, hi, side="left") + 1  # one past the one that holds hi - 1
+        n = ends[i:j].copy()
+        n[-1] = hi
+        n[1:] -= ends[i:j - 1]
+        n[0] -= lo
+        idx = np.repeat(shift[i:j].astype(itype), n)
+        idx += np.arange(lo, hi, dtype=itype)
+        yield bits[idx]
 
 
 def delete_symbol(x: QaryString, symbol: int) -> QaryString:

@@ -44,6 +44,10 @@ _BLOCK = 1024
 # against the chunk's array work only at this size or more
 _STREAM = 1 << 18
 
+# draws per sub-block of a chunk of a constant, drifting or pairwise source:
+# 64 KiB per float64 buffer
+_SUB = 1 << 13
+
 
 def check_markov_k(k: int) -> int:
     """``k`` as an ``int``; rejects a memory length outside 0..MAX_MARKOV_K."""
@@ -388,18 +392,23 @@ class PairwiseSource:
     """Bits emitted as independent pairs; pair slot i draws from the i-th pair
     distribution (the list is cycled when the run is longer).
 
+    Each distribution is kept as a read-only view of its own copy,
+    validated once into the matrix that :meth:`pair_matrix` tiles.
     Equality of the 01 and 10 weights is *not* required; whether a given list
     normalizes to uniform is for the exact-distribution machinery to decide.
     """
 
     pair_dists: tuple
+    _w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, pair_dists):
-        dists = tuple(_mapping(d, f"pair_dists[{i}]") for i, d in enumerate(pair_dists))
+        dists = tuple(MappingProxyType(_mapping(d, f"pair_dists[{i}]"))
+                      for i, d in enumerate(pair_dists))
         if not dists:
             raise ValidationError("need at least one pair distribution")
-        object.__setattr__(self, "pair_dists", dists)
-        w = self.pair_matrix(len(dists))  # one row per slot
+        w = np.array([_keyed_array(d, 2, f"pair_dists[{i}]", f"pair distribution {i} "
+                                   f"must have exactly the keys {PAIR_KEYS}")
+                      for i, d in enumerate(dists)])  # one row per slot
         bad = ~(w >= 0.0).all(axis=1)  # NaN fails too
         if bad.any():
             raise ValidationError(
@@ -409,13 +418,13 @@ class PairwiseSource:
         if bad.any():
             i = int(np.argmax(bad))
             raise ValidationError(f"pair distribution {i} sums to {float(total[i])!r}, expected 1")
+        w.flags.writeable = False
+        object.__setattr__(self, "pair_dists", dists)
+        object.__setattr__(self, "_w", w)
 
     def pair_matrix(self, pairs: int) -> np.ndarray:
         """(pairs, 4) matrix of pair probabilities in 00,01,10,11 order, cycled."""
-        base = np.array([_keyed_array(d, 2, f"pair_dists[{i}]", f"pair distribution {i} "
-                                      f"must have exactly the keys {PAIR_KEYS}")
-                         for i, d in enumerate(self.pair_dists)])
-        return np.tile(base, (-(-pairs // len(base)), 1))[:pairs]
+        return np.tile(self._w, (-(-pairs // len(self._w)), 1))[:pairs]
 
 
 SourceSpec = Union[ConstantSource, DriftingSource, MarkovSource, PairwiseSource]
@@ -434,23 +443,22 @@ def _shift_in(h: int, bits: np.ndarray, mask: int) -> int:
 
 
 def _constant_chunks(p0: float, n: int, rng):
-    u = np.empty(min(n, _STREAM))
-    bits = np.empty(len(u), dtype=np.uint8)
+    u = np.empty(min(n, _SUB))
+    bits = np.empty(min(n, _STREAM), dtype=np.uint8)
     for lo, hi in _spans(n):
-        m = hi - lo
-        rng.random(out=u[:m])
-        np.greater_equal(u[:m], p0, out=bits[:m])
-        yield bits[:m], None
+        for s in range(0, hi - lo, _SUB):
+            m = min(_SUB, hi - lo - s)
+            rng.random(out=u[:m])
+            np.greater_equal(u[:m], p0, out=bits[s:s + m])
+        yield bits[:hi - lo], None
 
 
-def _walk_chunks(params: DriftParams, n: int, rng, guess: np.ndarray):
+def _walk_chunks(params: DriftParams, n: int, rng):
     """The offsets of an n-bit walk, one array per chunk: eps_1 = 0, then one
     step uniform in [-delta, delta] from ``rng`` per offset.  Each chunk's
-    walk starts from the last offset of the chunk before.  ``guess`` is the
-    lockstep pass's (lanes, _BLOCK + 1) scratch buffer, free for other use
-    while a chunk is out."""
+    walk starts from the last offset of the chunk before."""
     beta, delta = params.beta, params.delta
-    w = np.zeros(len(guess) * _BLOCK + 1)
+    w = np.zeros(max(1, -(-min(n, _STREAM) // _BLOCK)) * _BLOCK + 1)
     for lo, hi in _spans(n):
         first = int(lo == 0)  # chunk 0 holds eps_1 itself, so one step fewer
         s = hi - lo - first
@@ -461,34 +469,32 @@ def _walk_chunks(params: DriftParams, n: int, rng, guess: np.ndarray):
         steps *= delta - -delta
         steps += -delta
         # past step s, w holds the last chunk's steps: they move only
-        # offsets that are never read
-        _walk(w[:rows * _BLOCK + 1], guess[:rows], beta)
+        # offsets that are never read.  The lockstep guesses are freed
+        # before the chunk is handed out.
+        _walk(w[:rows * _BLOCK + 1], np.empty((rows, _BLOCK + 1)), beta)
         yield w[1 - first:s + 1]
         w[0] = w[s]
 
 
 def _drift_chunks(spec: DriftingSource, n: int, seed: int):
-    # one buffer holds the walk's lockstep guesses while a chunk is walked,
-    # then that chunk's zero-probabilities q0
-    lanes = max(1, -(-min(n, _STREAM) // _BLOCK))
-    q0 = np.empty(lanes * (_BLOCK + 1))
     draws = np.random.default_rng(seed)
     if spec.trajectory == "walk":
         # the walk's n - 1 steps come first in the seed's stream, then one
         # draw per bit: a second generator skips the steps to reach the draws
-        offsets = _walk_chunks(spec.params, n, np.random.default_rng(seed),
-                               q0.reshape(lanes, _BLOCK + 1))
+        offsets = _walk_chunks(spec.params, n, np.random.default_rng(seed))
         draws.bit_generator.advance(max(n - 1, 0))
     else:
         offsets = (spec._offsets(lo, hi) for lo, hi in _spans(n))
-    u = np.empty(min(n, _STREAM))
-    bits = np.empty(len(u), dtype=np.uint8)
+    # a chunk's zero-probabilities and draws, _SUB at a time, in order
+    u, q0 = np.empty((2, min(n, _SUB)))
+    bits = np.empty(min(n, _STREAM), dtype=np.uint8)
     for eps in offsets:
-        m = len(eps)
-        np.subtract(spec.params.p0, eps, out=q0[:m])
-        draws.random(out=u[:m])
-        np.greater_equal(u[:m], q0[:m], out=bits[:m])
-        yield bits[:m], eps
+        for lo in range(0, len(eps), _SUB):
+            m = min(_SUB, len(eps) - lo)
+            np.subtract(spec.params.p0, eps[lo:lo + m], out=q0[:m])
+            draws.random(out=u[:m])
+            np.greater_equal(u[:m], q0[:m], out=bits[lo:lo + m])
+        yield bits[:len(eps)], eps
 
 
 def _markov_bits(draws: np.ndarray, h: int, cond: np.ndarray, cl: list,
@@ -558,28 +564,29 @@ def _markov_chunks(spec: MarkovSource, n: int, rng):
 
 
 def _pairwise_chunks(spec: PairwiseSource, n: int, rng):
-    """One uniform draw per pair against its slot's cumulative weights; the
-    slot index carries over from chunk to chunk, whose lengths are even."""
-    cum = np.cumsum(spec.pair_matrix(len(spec.pair_dists)), axis=1)
-    pairs = min(n, _STREAM) // 2
-    u, cut = np.empty((2, pairs))
-    slot = np.arange(pairs) % len(cum)  # of each pair in the chunk
-    idx = np.empty(pairs, dtype=np.uint8)  # pair value 0..3
-    up = np.empty(pairs, dtype=np.uint8)
-    bits = np.empty(2 * pairs, dtype=np.uint8)
+    """One uniform draw per pair against its slot's cumulative weights,
+    ``_SUB`` pairs at a time; the slot index carries over from one block of
+    pairs to the next, and chunk lengths are even."""
+    cum = np.cumsum(spec._w, axis=1)
+    sub = min(n // 2, _SUB)
+    u, cut = np.empty((2, sub))
+    slot = np.arange(sub) % len(cum)  # of each pair in the block
+    idx, up = np.empty((2, sub), dtype=np.uint8)  # pair value 0..3
+    bits = np.empty(min(n, _STREAM), dtype=np.uint8)
     for lo, hi in _spans(n):
-        p = (hi - lo) // 2
-        rng.random(out=u[:p])
-        idx[:p] = 0
-        for c in range(3):
-            np.take(cum[:, c], slot[:p], out=cut[:p])
-            np.greater_equal(u[:p], cut[:p], out=up[:p])
-            idx[:p] += up[:p]
-        np.right_shift(idx[:p], 1, out=bits[0:2 * p:2])
-        np.bitwise_and(idx[:p], 1, out=bits[1:2 * p:2])
-        yield bits[:2 * p], None
-        slot += pairs  # every chunk but the last has this many
-        slot %= len(cum)
+        for s in range(0, (hi - lo) // 2, sub):
+            p = min(sub, (hi - lo) // 2 - s)
+            rng.random(out=u[:p])
+            idx[:p] = 0
+            for c in range(3):
+                np.take(cum[:, c], slot[:p], out=cut[:p])
+                np.greater_equal(u[:p], cut[:p], out=up[:p])
+                idx[:p] += up[:p]
+            np.right_shift(idx[:p], 1, out=bits[2 * s:2 * (s + p):2])
+            np.bitwise_and(idx[:p], 1, out=bits[2 * s + 1:2 * (s + p):2])
+            slot += p
+            slot %= len(cum)
+        yield bits[:hi - lo], None
 
 
 def _chunks(spec: SourceSpec, n: int, seed: int):

@@ -1,5 +1,11 @@
 """Empirical stream analysis: block-frequency (Borel) counts, empirical block
-distributions, and bound-family parameter sweeps."""
+distributions, and bound-family parameter sweeps.
+
+Every block count comes from one window pass, :func:`_window_counts`: it
+builds the longest blocks once, a chunk of ``_WIN`` windows at a time in
+``uint16`` or ``uint32``, and reads every shorter block length and both
+modes off the same windows, so its scratch does not grow with the input.
+"""
 
 from __future__ import annotations
 
@@ -65,39 +71,114 @@ class BorelReport:
         return buf.getvalue()[:-1]
 
 
-def _block_values(codes: np.ndarray, m: int, q: int, step: int) -> np.ndarray:
-    """Base-q value, first symbol most significant, of each m-symbol block
-    starting at 0, step, 2 step, ... (step = m: disjoint blocks; step = 1:
-    sliding windows), by an in-place Horner pass over strided slices."""
-    stop = (len(codes) - m) // step * step + 1  # one past the last block start
-    vals = codes[:stop:step].astype(np.int64)
-    for j in range(1, m):
-        vals *= q
-        vals += codes[j:j + stop:step]
-    return vals
+# window starts per chunk of the window pass: 128 KiB of uint16 windows
+_WIN = 1 << 16
 
 
-def _block_counts(codes: np.ndarray, m: int, q: int, step: int, unit: str):
-    """``(counts, blocks)``: how often each base-q value occurs among the
-    m-symbol blocks of :func:`_block_values`, and the number of blocks.  m
-    is at most the input length, and at most MAX_ENUM_N with q^m <=
-    2^MAX_ENUM_N, the size limit of a dense table."""
+def _window_counts(codes: np.ndarray, q: int, ms: range, modes) -> dict:
+    """``{mode: {m: counts}}`` for each mode in ``modes`` and each block
+    length m in ``ms`` (a range from 1 or more up to M): how often each
+    base-q value, first symbol most significant, occurs among the m-symbol
+    blocks of the non-empty ``codes`` that start at 0, m, 2m, ...
+    ("non-overlapping") or at every position ("overlapping").
+
+    One pass builds the M-symbol window at every start, reading symbols
+    past the end as 0, in ``uint16`` (``uint32`` above q^M = 2^16) and in
+    chunks of ``_WIN`` starts, or of q^M starts if that is more, so that a
+    chunk's count table never costs more than its windows; it adds up each
+    chunk's ``np.bincount``.  The first m symbols of the window at s,
+    ``v // q^(M - m)``, are the m-block at s, whole if s <= n - m: the
+    disjoint counts read them at every m-th start.  The overlapping
+    M-counts summed over their last M - m symbols are the m-counts of the
+    blocks that start at or before n - M; the at most M - 1 blocks after
+    those are counted one by one.
+    """
+    n, M = len(codes), ms[-1]
+    size = q ** M
+    whole = max(n - M + 1, 0)  # windows that lie inside codes
+    overlapping = "overlapping" in modes
+    over = None
+    disjoint = dict.fromkeys(ms) if "non-overlapping" in modes else {}
+    step = max(_WIN, size)
+    dtype = np.uint16 if size <= 1 << 16 else np.uint32
+    seg = np.empty(min(step, n) + M - 1, dtype)
+    win = np.empty(min(step, n), dtype)
+    tail = []  # the windows past n - M, in order
+    for lo in range(0, n, step):
+        k = min(step, n - lo)
+        got = min(k + M - 1, n - lo)
+        seg[:got] = codes[lo:lo + got]
+        seg[got:k + M - 1] = 0
+        w = win[:k]
+        w[:] = seg[:k]
+        for j in range(1, M):  # Horner, in place
+            w *= q
+            w += seg[j:j + k]
+        if overlapping:
+            cut = min(max(whole - lo, 0), k)
+            over = _tally(over, w[:cut], size)
+            tail.append(w[cut:].copy())
+        for m in disjoint:
+            stop = min(k, n - m + 1 - lo)  # a block that starts past n - m is cut short
+            disjoint[m] = _tally(disjoint[m], w[-lo % m:max(stop, 0):m] // q ** (M - m), q ** m)
+    out = {}
+    if overlapping:
+        tail = np.concatenate(tail) if tail else win[:0]
+        out["overlapping"] = tables = {M: over}
+        for m in range(M - 1, ms[0] - 1, -1):
+            over = over.reshape(-1, q).sum(axis=1)
+            tables[m] = counts = over.copy()
+            np.add.at(counts, tail[:max(n - m + 1 - whole, 0)] // q ** (M - m), 1)
+    if disjoint:
+        out["non-overlapping"] = disjoint
+    return out
+
+
+def _tally(total, values: np.ndarray, size: int) -> np.ndarray:
+    """``total`` plus the counts of ``values`` (all below ``size``); the
+    first counts (``total`` None) are kept as they are, so that a table as
+    large as its chunk is never held twice."""
+    counts = np.bincount(values, minlength=size)
+    if total is None:
+        return counts
+    total += counts
+    return total
+
+
+def _block_counts(codes: np.ndarray, q: int, m: int, unit: str, modes, least=None) -> dict:
+    """:func:`_window_counts` for the block lengths ``least`` (default m)
+    to m, once m is checked: at most the input length, and at most
+    MAX_ENUM_N with q^m <= 2^MAX_ENUM_N, the size limit of a dense table."""
     m = _check_enum_guard(m, "m", 1)
     if q ** m > 1 << MAX_ENUM_N:
         raise ValidationError(f"q^m = {q}^{m} counts exceed 2^MAX_ENUM_N = 2^{MAX_ENUM_N}")
     if len(codes) < m:
         raise ValidationError(f"input has {len(codes)} {unit}, need at least {m}")
-    vals = _block_values(codes, m, q, step)
-    return np.bincount(vals, minlength=q ** m), len(vals)
+    return _window_counts(codes, q, range(least or m, m + 1), modes)
+
+
+def _report(n: int, m: int, mode: str, counts: np.ndarray) -> BorelReport:
+    total = n // m if mode == "non-overlapping" else n - m + 1
+    return BorelReport(m=m, mode=mode, total=total, counts=counts)
 
 
 def borel_counts(x: BitString, m: int, mode: str = "non-overlapping") -> BorelReport:
     """Count every m-bit block of x, disjointly or in a sliding window;
     m <= MAX_ENUM_N, the size limit of a dense table over m-bit strings."""
     _check_mode(mode)
-    counts, total = _block_counts(x.to_array(), m, 2, m if mode == "non-overlapping" else 1,
-                                  "bits")
-    return BorelReport(m=m, mode=mode, total=total, counts=counts)
+    counts = _block_counts(x.to_array(), 2, m, "bits", (mode,))[mode][m]
+    return _report(len(x), m, mode, counts)
+
+
+def borel_series(x: BitString, max_m: int, mode: str = "non-overlapping"):
+    """``(reports, disjoint)`` for m = 1..max_m from one window pass: the
+    :func:`borel_counts` report of each m in ``mode``, and ``disjoint[m]``,
+    the counts of the disjoint m-blocks (the reports' own counts if
+    ``mode`` is "non-overlapping")."""
+    _check_mode(mode)
+    counts = _block_counts(x.to_array(), 2, max_m, "bits", {mode, "non-overlapping"}, 1)
+    return ([_report(len(x), m, mode, c) for m, c in sorted(counts[mode].items())],
+            counts["non-overlapping"])
 
 
 def empirical_block_dist(x: BitString, m: int) -> DistributionTable:
@@ -109,7 +190,8 @@ def empirical_block_dist(x: BitString, m: int) -> DistributionTable:
 def symbol_block_counts(x: QaryString, m: int) -> np.ndarray:
     """Counts of each disjoint m-symbol block of a Q-ary string, indexed by
     the block's base-Q value; q^m <= 2^MAX_ENUM_N, the size limit of a dense table."""
-    return _block_counts(x.symbols, m, x.q, m, "symbols")[0]
+    return _block_counts(x.symbols, x.q, m, "symbols", ("non-overlapping",))[
+        "non-overlapping"][m]
 
 
 @dataclass(frozen=True)

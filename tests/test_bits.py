@@ -214,6 +214,16 @@ def test_repr_floats_random_bit_patterns():
                   | (mant >> np.uint64(52)) << np.uint64(63)).view(np.float64))
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+def test_repr_floats_row_block_seams(monkeypatch, rows):
+    # the digit text is looked up _ROWS fields at a time
+    monkeypatch.setattr("debias.bits._ROWS", rows)
+    rng = np.random.default_rng(15)
+    _assert_repr(np.concatenate([
+        rng.integers(0, 2**64, 1001, dtype=np.uint64).view(np.float64),
+        rng.uniform(-1, 1, 1001) * 10.0 ** rng.integers(-15, 17, 1001)]))
+
+
 def test_repr_floats_powers_of_two_and_ten():
     # a power of two has a lower gap half the upper one; 10^k is the shortest
     # decimal for itself and sometimes for a neighbour

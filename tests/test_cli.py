@@ -484,3 +484,61 @@ def test_parameter_file_that_is_not_utf8_fails_on_its_line(tmp_path, capsys, fla
     path.write_bytes(body.decode("latin-1").encode("utf-8"))
     assert run(["generate", *flags, str(path), "-n", "2", "-o", str(out)]) == 1
     assert "not UTF-8" not in capsys.readouterr().err
+
+
+def _normalize_and_analyze(tmp_path, capsys) -> dict:
+    """The bytes of every normalize output and analyze output (stdout and
+    CSV), in both formats, of the bit files in tmp_path."""
+    out = {}
+    for fmt in ("ascii", "packed"):
+        raw = str(tmp_path / f"raw.{fmt}")
+        for method, block in (("vn", "2"), ("peres", "2"), ("parity", "3")):
+            dst = tmp_path / f"{method}.{fmt}"
+            assert run(["normalize", "--method", method, "--block", block, "-i", raw,
+                        "-o", str(dst), "--format", fmt]) == 0
+            out[method, fmt] = dst.read_bytes()
+        for mode in ("non-overlapping", "overlapping"):
+            csv = tmp_path / "report.csv"
+            assert run(["analyze", "-i", raw, "--mode", mode, "--max-m", "8", "--csv", str(csv),
+                        "--format", fmt]) == 0
+            out[mode, fmt] = (capsys.readouterr().out, csv.read_bytes())
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 1003])
+def test_normalize_and_analyze_bytes_do_not_depend_on_chunk_sizes(monkeypatch, tmp_path,
+                                                                  capsys, size):
+    rng = np.random.default_rng(size)
+    x = BitString.from_array((rng.random(3001) >= 0.6).astype(np.uint8))
+    for fmt in ("ascii", "packed"):
+        (tmp_path / f"raw.{fmt}").write_bytes(serialize_bits(x, fmt))
+    want = _normalize_and_analyze(tmp_path, capsys)  # one chunk each
+    assert want["peres", "packed"] == serialize_bits(peres_normalize(x), "packed")
+    assert want["parity", "ascii"] == serialize_bits(parity_normalize(x, 3), "ascii")
+    monkeypatch.setattr("debias.normalize._OUT", size)
+    monkeypatch.setattr("debias.stats._WIN", size)
+    assert _normalize_and_analyze(tmp_path, capsys) == want
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_normalize_and_analyze_memory_per_input_bit(tmp_path):
+    # the peak of a fresh process at 10^5 and at 10^7 input bits: the input
+    # takes 1 B a bit, the packed parse a second byte for a moment.  Per-m
+    # int64 windows (analyze) and whole-output index arrays (Peres) grew
+    # them by 9.0 B and 14.6 B a bit.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    rng = np.random.default_rng(5)
+    cmds = {"analyze": ["analyze", "--mode", "overlapping", "--max-m", "8"],
+            "peres": ["normalize", "--method", "peres", "-o", str(tmp_path / "out")]}
+    peaks = {name: [] for name in cmds}
+    for n in (10**5, 10**7):
+        raw = tmp_path / "raw"
+        raw.write_bytes(n.to_bytes(8, "little") + rng.integers(0, 256, n // 8, np.uint8).tobytes())
+        for name, argv in cmds.items():
+            done = subprocess.run(
+                [sys.executable, "-c", _PEAK_CHILD, *argv, "-i", str(raw), "--format", "packed"],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+            assert done.returncode == 0, done.stderr
+            peaks[name].append(int(done.stderr.split("peak_kb")[-1]) * 1024)
+    growth = {name: (p[1] - p[0]) / (10**7 - 10**5) for name, p in peaks.items()}
+    assert growth["analyze"] < 2.5 and growth["peres"] < 7, growth  # bytes per input bit

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from debias import (BitString, QaryString, ValidationError, delete_symbol,
                     parity_normalize, peres_normalize, vn_encode, vn_normalize,
                     vn_preimage)
+from debias.normalize import _chunks
 from string_oracles import vn_pair
 
 
@@ -227,3 +228,47 @@ def test_peres_matches_recursion_random(p0):
     for n in (13, 1000, 1023, 1024, 10**5 + 1):
         x = BitString.from_array((rng.random(n) >= p0).astype(np.uint8))
         assert peres_normalize(x) == _peres_recursive(x), n
+
+
+def _whole_array(arr: np.ndarray, method: str, block: int = 2) -> np.ndarray:
+    """vn and parity over the whole input at once, as one slice expression."""
+    if method == "vn":
+        k = len(arr) // 2
+        a, b = arr[0:2 * k:2], arr[1:2 * k:2]
+        return a[a != b]
+    k = len(arr) // block
+    return np.bitwise_xor.reduce(arr[:k * block].reshape(k, block), axis=1)
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 1003])
+def test_chunk_seams_match_whole_input_oracles(monkeypatch, size):
+    # _OUT bounds the input pairs and output bits of a piece, the flags of a
+    # Peres cumsum block and the moves of a drop; odd lengths, and parity
+    # blocks of 3 and 5, which divide no piece of 8 or 1003
+    monkeypatch.setattr("debias.normalize._OUT", size)
+    rng = np.random.default_rng(size)
+    for n in sorted({0, 1, 2, 3, 2 * size - 1, 2 * size, 2 * size + 1, 6 * size + 5, 3001}):
+        for p0 in (0.5, 0.8):
+            arr = (rng.random(n) >= p0).astype(np.uint8)
+            x = BitString.from_array(arr)
+            for method, block, want in (
+                    ("peres", 2, _peres_recursive(x).to_array()),
+                    ("vn", 2, _whole_array(arr, "vn")),
+                    ("parity", 3, _whole_array(arr, "parity", 3)),
+                    ("parity", 5, _whole_array(arr, "parity", 5))):
+                n_out, chunks = _chunks(x, method, block)
+                chunks = list(chunks)
+                assert n_out == len(want), (n, method)
+                assert all(len(c) % 8 == 0 for c in chunks[:-1]), (n, method)
+                assert all(len(c) for c in chunks)
+                got = np.concatenate(chunks) if chunks else np.zeros(0, np.uint8)
+                assert np.array_equal(got, want), (n, method, block)
+            assert peres_normalize(x) == _peres_recursive(x)
+            assert vn_normalize(x).to_array().tolist() == _whole_array(arr, "vn").tolist()
+
+
+def test_unknown_method_is_refused():
+    with pytest.raises(ValidationError, match="unknown method 'xor'"):
+        _chunks(BitString("0110"), "xor")
+    with pytest.raises(ValidationError, match="block length"):
+        _chunks(BitString("0110"), "parity", 1)

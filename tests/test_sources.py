@@ -3,8 +3,8 @@ import pytest
 
 from debias import (BitString, ConstantSource, DriftParams, DriftTrace,
                     DriftingSource, MarkovSource, PairwiseSource,
-                    ValidationError, adversarial_trace, sample, sample_symbols,
-                    validate_trace)
+                    ValidationError, adversarial_trace, normalized_dist, sample,
+                    sample_symbols, validate_trace)
 from debias.sources import _BLOCK as BLOCK
 from debias.sources import PAIR_KEYS, load_markov_table, load_pair_dists
 from string_oracles import trace_text
@@ -156,6 +156,25 @@ def test_markov_table_is_a_read_only_view_of_one_validated_array():
         p[0] = 0.9
     assert spec == MarkovSource(k=1, kappa=0.1, p0=0.5, table={"1": 0.45, "0": 0.55})
     assert "_cond" not in repr(spec)
+
+
+def test_pair_dists_are_read_only_views_of_one_validated_matrix():
+    given = [{"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}]
+    spec = PairwiseSource(given)
+    given[0]["00"] = 0.9  # the source keeps its own copy
+    assert spec.pair_dists == (dict.fromkeys(PAIR_KEYS, 0.25),)
+    # a weight written after validation could make sample() return all
+    # ones (a negative weight) or normalized_dist() return a table (5.0)
+    for bad in (-0.5, 5.0):
+        with pytest.raises(TypeError):
+            spec.pair_dists[0]["00"] = bad
+    with pytest.raises(ValueError):
+        spec._w[0, 0] = -0.5
+    assert sample(spec, 8, 1) == sample(PairwiseSource(
+        [dict.fromkeys(PAIR_KEYS, 0.25)]), 8, 1)
+    assert normalized_dist(spec, 4, 1).probs.tolist() == [0.5, 0.5]
+    assert spec == PairwiseSource([dict.fromkeys(PAIR_KEYS, 0.25)])
+    assert "_w" not in repr(spec)
 
 
 def test_markov_conditional_frequencies():

@@ -10,6 +10,7 @@ from debias import (BitString, BorelReport, QaryString, ValidationError, borel_c
                     tv_bound_exact, uniform_dist, write_borel_csv,
                     write_sweep_csv)
 from debias.bounds import alpha_max, linear_bound, tv_bound_naive
+from debias.stats import MODES, _window_counts, borel_series
 from string_oracles import borel_csv, borel_table, sweep_csv
 
 
@@ -90,7 +91,7 @@ def test_borel_report_validates_mode(monkeypatch):
     # borel_counts still refuses a bad mode before it counts a block
     def no_count(*args):
         raise AssertionError("counted blocks for a bad mode")
-    monkeypatch.setattr("debias.stats._block_values", no_count)
+    monkeypatch.setattr("debias.stats._window_counts", no_count)
     with pytest.raises(ValidationError, match="unknown mode 'a,b'"):
         borel_counts(BitString("0110"), 2, "a,b")
 
@@ -113,19 +114,94 @@ def test_symbol_block_counts():
     assert counts.sum() == 2
 
 
+def _per_window_counts(arr: np.ndarray, m: int, step: int) -> np.ndarray:
+    """Counts of the m-bit blocks at 0, step, 2 step, ..., one string slice each."""
+    s = "".join(map(str, arr.tolist()))
+    want = np.zeros(1 << m, dtype=np.int64)
+    for i in range(0, len(s) - m + 1, step):
+        want[int(s[i:i + m], 2)] += 1
+    return want
+
+
+def _block_values(codes: np.ndarray, m: int, q: int, step: int) -> np.ndarray:
+    """Base-q value, first symbol most significant, of each m-symbol block
+    starting at 0, step, 2 step, ... (step = m: disjoint blocks; step = 1:
+    sliding windows), by an in-place Horner pass over strided slices: the
+    per-m route that the one window pass replaced."""
+    if len(codes) < m:
+        return np.zeros(0, dtype=np.int64)
+    stop = (len(codes) - m) // step * step + 1  # one past the last block start
+    vals = codes[:stop:step].astype(np.int64)
+    for j in range(1, m):
+        vals *= q
+        vals += codes[j:j + stop:step]
+    return vals
+
+
+def _horner_counts(codes: np.ndarray, m: int, q: int, step: int) -> np.ndarray:
+    return np.bincount(_block_values(codes, m, q, step), minlength=q ** m)
+
+
 @pytest.mark.parametrize("m", range(1, 11))
 def test_borel_counts_match_per_window_count(m):
     rng = np.random.default_rng(m)
     for _ in range(3):
         n = m * int(rng.integers(1, 60)) + (int(rng.integers(1, m)) if m > 1 else 0)
         arr = (rng.random(n) >= rng.uniform(0.2, 0.8)).astype(np.uint8)
-        s = "".join(map(str, arr.tolist()))
         for mode, step in (("non-overlapping", m), ("overlapping", 1)):
-            want = np.zeros(1 << m, dtype=np.int64)
-            for i in range(0, n - m + 1, step):
-                want[int(s[i:i + m], 2)] += 1
+            want = _per_window_counts(arr, m, step)
             r = borel_counts(BitString.from_array(arr), m, mode)
             assert r.counts.tolist() == want.tolist() and r.total == want.sum()
+
+
+@pytest.mark.parametrize("win", [1, 7, 8, 1003])
+def test_window_pass_seams_match_oracles(monkeypatch, win):
+    # every table of one window pass for M = 1..18, both modes, against the
+    # per-m Horner counts: n below M, at M, and at and around the chunk
+    # edges; a chunk is max(_WIN, 2^M) windows, in uint32 from M = 17
+    monkeypatch.setattr("debias.stats._WIN", win)
+    rng = np.random.default_rng(win)
+    for big in range(1, 19):
+        step = max(win, 1 << big)
+        for n in sorted({max(big - 1, 1), big, step - 1, step, step + 1, 2 * step + big - 1}):
+            arr = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+            got = _window_counts(arr, 2, range(1, big + 1), MODES)
+            for m in range(1, big + 1):
+                for mode, at in (("non-overlapping", m), ("overlapping", 1)):
+                    want = _horner_counts(arr, m, 2, at)
+                    assert np.array_equal(got[mode][m], want), (n, big, m, mode)
+            # a pass that starts at m = M counts only m = M
+            assert list(_window_counts(arr, 2, range(big, big + 1), MODES)["overlapping"]) == [big]
+    # the per-window oracle at the small chunk, through the public route
+    for m in (1, 3, 8):
+        for n in (m, win - 1, win, win + 1, 3 * win + m - 1):
+            if n < m:
+                continue
+            arr = (rng.random(n) < 0.55).astype(np.uint8)
+            reports, disjoint = borel_series(BitString.from_array(arr), m, "overlapping")
+            for r in reports:
+                assert r.counts.tolist() == _per_window_counts(arr, r.m, 1).tolist()
+                assert r.total == n - r.m + 1
+                assert disjoint[r.m].tolist() == _per_window_counts(arr, r.m, r.m).tolist()
+
+
+@pytest.mark.parametrize("win", [1, 7, 1003])
+def test_window_pass_seams_match_oracles_qary(monkeypatch, win):
+    # q = 3 in uint16 (3^10 < 2^16) and in uint32 (3^11 > 2^16), and q = 5
+    monkeypatch.setattr("debias.stats._WIN", win)
+    rng = np.random.default_rng(100 + win)
+    for q, big in ((3, 4), (3, 10), (3, 11), (5, 5)):
+        step = max(win, q ** big)
+        for n in sorted({big - 1, big, step - 1, step + 1, 2 * step + 3}):
+            codes = rng.integers(0, q, n)
+            got = _window_counts(codes, q, range(1, big + 1), MODES)
+            for m in range(1, big + 1):
+                for mode, at in (("non-overlapping", m), ("overlapping", 1)):
+                    assert np.array_equal(got[mode][m], _horner_counts(codes, m, q, at)), \
+                        (q, n, big, m, mode)
+            if n >= big:
+                assert np.array_equal(symbol_block_counts(QaryString(codes, q), big),
+                                      _horner_counts(codes, big, q, big))
 
 
 def test_symbol_block_counts_table_guard():
