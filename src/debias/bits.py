@@ -250,9 +250,12 @@ def _repr_floats(x) -> np.ndarray:
     e = (x.view(np.uint64) >> np.uint64(52)).astype(np.intp) & 0x7FF
     e -= 1023 + _E2[0]
     fast = (e >= 0) & (e < len(_E2))
-    # values outside the integer route are stood in by 1.0 and go to repr
-    out, ok = _shortest(np.where(fast, x, 1.0), np.where(fast, e, -_E2[0]))
-    slow = np.flatnonzero(~(ok & fast))
+    if fast.any():
+        # values outside the integer route are stood in by 1.0 and go to repr
+        out, ok = _shortest(np.where(fast, x, 1.0), np.where(fast, e, -_E2[0]))
+        slow = np.flatnonzero(~(ok & fast))
+    else:
+        out, slow = np.empty((len(x), _FIELD), np.uint8), np.arange(len(x))
     if len(slow):
         text = np.array([repr(v) for v in x[slow].tolist()], f"S{_FIELD}")
         out[slow] = text.view(np.uint8).reshape(-1, _FIELD)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConvergenceError, ValidationError, _integer, _interval
-from .sources import DriftParams
+from .params import DriftParams
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _CALIBRATE_TOL = 1e-10  # width of calibrate_alpha's final bisection bracket

@@ -5,6 +5,10 @@ The parser is built once per process (`build_parser` is cached), so repeated
 in-process calls of `run` only parse; subcommand ``x`` runs the module global
 ``cmd_x``, looked up at call time.
 
+At module level this imports only ``errors`` and the standard library; each
+command imports the modules it runs when it is first called, so ``tv`` and
+``calibrate`` load ``params`` and ``bounds`` and never numpy.
+
 Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 """
 
@@ -12,20 +16,27 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import math
 import sys
 from contextlib import nullcontext
 
-import numpy as np
-
-from . import bounds, markov, normalize, sources, stats
-from .bits import _header, _payload, parse_bits
-from .bits import serialize_bits  # noqa: F401  (perfbench's tracer wraps cli.serialize_bits)
 from .errors import ConvergenceError, ValidationError, _integer, _interval
-from .exactdist import (MAX_ENUM_N, DistributionTable, exact_source_dist, normalized_dist,
-                        total_variation, uniform_dist)
 
 DEFAULT_SEED = 271828  # fixed default so runs are reproducible without flags
+MAX_SWEEP_POINTS = 10 ** 4  # alphas per m of a sweep: about 5 s for four m
+
+
+def _bind(module: str, *names: str) -> None:
+    """Import ``debias.<module>`` and make each of ``names`` a global of this
+    module, unless it is one already.  The commands call these functions
+    through the globals, so a wrapper set in place of one after its first
+    use (perfbench's tracer, a test double) is the one that runs."""
+    owner = importlib.import_module(f"{__package__}.{module}")
+    scope = globals()
+    for name in names:
+        if name not in scope:
+            scope[name] = getattr(owner, name)
 
 
 def _fmt(v: float) -> str:
@@ -33,12 +44,13 @@ def _fmt(v: float) -> str:
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
+    from .params import TRAJECTORIES
     p.add_argument("--source", required=True,
                    choices=["constant", "drifting", "markov", "pairwise"])
     p.add_argument("--p0", type=float, help="base probability of a 0 bit")
     p.add_argument("--beta", type=float, help="drift amplitude bound")
     p.add_argument("--delta", type=float, help="drift speed bound")
-    p.add_argument("--trajectory", default="walk", choices=list(sources.TRAJECTORIES))
+    p.add_argument("--trajectory", default="walk", choices=list(TRAJECTORIES))
     p.add_argument("--period", type=float, help="sine trajectory period (bits)")
     p.add_argument("--trace-in", help="fixed trajectory: file with one offset per line")
     p.add_argument("--k", type=int, help="memory length of a markov source")
@@ -47,7 +59,8 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pairs", help="pairwise source: file of '.. .. .. ..' weight lines")
 
 
-def _source_from_args(args) -> sources.SourceSpec:
+def _source_from_args(args):
+    from . import sources
     if args.source == "constant":
         if args.p0 is None:
             raise ValidationError("constant source needs --p0")
@@ -74,13 +87,16 @@ def _source_from_args(args) -> sources.SourceSpec:
 
 
 def _read_bits(path: str, fmt: str):
+    _bind("bits", "parse_bits")
     with open(path, "rb") as f:
-        return parse_bits(f.read(), fmt)
+        return parse_bits(f.read(), fmt)  # noqa: F821  (bound by _bind)
 
 
 def cmd_generate(args) -> int:
     """Write the bits, and the trace if asked, chunk by chunk as they are
     drawn; everything is checked before either file is opened."""
+    from . import sources
+    from .bits import _header, _payload
     spec = _source_from_args(args)
     if args.trace_out and not isinstance(spec, sources.DriftingSource):
         raise ValidationError(f"{args.source} source has no drift trace to write")
@@ -98,6 +114,8 @@ def cmd_generate(args) -> int:
 def cmd_normalize(args) -> int:
     """Write the output chunk by chunk as the normalization yields it; the
     input is read whole, and the method checked before the file is opened."""
+    from . import normalize
+    from .bits import _header, _payload
     n_out, chunks = normalize._chunks(_read_bits(args.input, args.format), args.method,
                                       args.block)
     with open(args.out, "wb") as f:
@@ -114,6 +132,9 @@ def cmd_analyze(args) -> int:
     the ones frequency's too, comes from one window pass
     (:func:`stats.borel_series`), done before the CSV is written and
     before anything is printed."""
+    from . import stats
+    from .exactdist import DistributionTable, total_variation, uniform_dist
+    from .params import MAX_ENUM_N
     bits = _read_bits(args.input, args.format)
     n = len(bits)
     limit = min(n, MAX_ENUM_N)
@@ -132,16 +153,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    _bind("exactdist", "normalized_dist", "exact_source_dist")
     spec = _source_from_args(args)
     if args.m is not None:
-        table = normalized_dist(spec, args.n, args.m)
+        table = normalized_dist(spec, args.n, args.m)  # noqa: F821  (bound by _bind)
     else:
-        table = exact_source_dist(spec, args.n)
+        table = exact_source_dist(spec, args.n)  # noqa: F821  (bound by _bind)
     table.to_csv(args.out or sys.stdout)
     return 0
 
 
 def cmd_tv(args) -> int:
+    from . import bounds
     if args.method == "exact":
         v = bounds.tv_bound_exact(args.m, args.alpha)
     elif args.method == "naive":
@@ -153,6 +176,7 @@ def cmd_tv(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from . import bounds
     drift = args.p0 is not None or args.beta is not None
     if drift and (args.p0 is None or args.beta is None):
         raise ValidationError("drift calibration needs both --p0 and --beta")
@@ -180,7 +204,11 @@ def cmd_sweep(args) -> int:
         raise ValidationError("--m-list is empty")
     _interval("--alpha-min", args.alpha_min, 0, math.inf)
     _interval("--alpha-max", args.alpha_max, args.alpha_min, math.inf)
-    _integer("--points", args.points, 1)
+    _integer("--points", args.points, 1, MAX_SWEEP_POINTS,
+             f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}")
+    import numpy as np
+
+    from . import stats
     alphas = np.logspace(np.log10(args.alpha_min), np.log10(args.alpha_max),
                          args.points)
     rows = stats.sweep(ms, alphas)
@@ -189,6 +217,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_markov(args) -> int:
+    from . import markov
     exp = markov.MarkovExperiment(k=args.k, kappa=args.kappa, m=args.m, n=args.n,
                                   samples=args.samples, seed=args.seed, p0=args.p0)
     result = markov.run_markov_experiment(exp)
@@ -201,6 +230,7 @@ def cmd_markov(args) -> int:
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    from .params import METHODS, MODES
     ap = argparse.ArgumentParser(
         prog="debias",
         description="Bit-source generation, von Neumann-style un-biasing, and "
@@ -216,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", help="write the realized drift trace here")
 
     p = sub.add_parser("normalize", help="un-bias a bit file")
-    p.add_argument("--method", required=True, choices=list(normalize.METHODS))
+    p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--block", type=int, default=2, help="parity block length")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--out", required=True)
@@ -225,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="block-frequency report for a bit file")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--max-m", type=int, default=3)
-    p.add_argument("--mode", default="non-overlapping", choices=list(stats.MODES))
+    p.add_argument("--mode", default="non-overlapping", choices=list(MODES))
     p.add_argument("--csv", help="also write a machine-readable report here")
     p.add_argument("--format", default="ascii", choices=["ascii", "packed"])
 

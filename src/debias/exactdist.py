@@ -6,28 +6,26 @@ the string's MSB-first integer value, which is also its lexicographic rank
 Each source's law is stated once, as pair masses (see ``_pair_masses``); the
 raw table and the von Neumann output table are two folds over them, guarded
 at n <= 26 and k + m + 1 <= 26 so every computation stays exact (double
-precision) and finishes quickly.
+precision) and finishes quickly.  The functions that read a source spec
+import ``sources`` when called, so ``analyze``, which uses only tables and
+their distance, does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bits import BitString, _key_rank, _write_rows, format_bits
 from .errors import DegenerateSourceError, ValidationError, _integer, _interval
-from .sources import (ConstantSource, DriftingSource, MarkovSource, PairwiseSource,
-                      SourceSpec)
+from .params import MAX_ENUM_N, _check_enum_guard
 
-MAX_ENUM_N = 26
-_GUARD = f"the enumeration guard {MAX_ENUM_N}"
+if TYPE_CHECKING:
+    from .sources import SourceSpec
+
 _INDEPENDENCE_TOL = 1e-12  # absolute slack of check_independence
-
-
-def _check_enum_guard(n: int, what: str = "n", least: int = 0) -> int:
-    """``n`` as an ``int`` from ``least`` to MAX_ENUM_N."""
-    return _integer(what, n, least, MAX_ENUM_N, _GUARD)
 
 
 def _enumerable(n: int, k: int, m: int) -> bool:
@@ -103,6 +101,7 @@ def _pair_masses(spec: SourceSpec, n: int) -> tuple[int, np.ndarray]:
     in 00, 01, 10, 11 order, built from zero[i, h] = P(bit i = 0 | h).  Zero
     bits stand in before the run starts, and an odd trailing bit is paired
     with a fair phantom bit."""
+    from .sources import ConstantSource, DriftingSource, MarkovSource, PairwiseSource
     if isinstance(spec, PairwiseSource):
         if n % 2:
             raise ValidationError("pairwise source emits whole pairs; n must be even")
@@ -153,6 +152,7 @@ def normalized_dist(spec: SourceSpec, n: int, m: int) -> DistributionTable:
     A forward pass over the n//2 input pairs, whose state is the last k input
     bits times the output so far, guarded at k + m + 1 <= MAX_ENUM_N.
     """
+    from .sources import MarkovSource
     n = _check_enum_guard(n)
     m = _integer("m", m, 1, n // 2)
     # k is known before the masses are built, so a refused call builds none
@@ -231,6 +231,7 @@ def worst_case_product_dist(alpha: float, m: int, sign: int = 1) -> Distribution
     """Product measure where every bit is 0 with probability (1 + sign*alpha)/2;
     the i.i.d. source a worst-case drifting source collapses to after
     normalization."""
+    from .sources import ConstantSource
     _interval("alpha", alpha, 0, 1, "[)")
     if sign not in (1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {sign}")

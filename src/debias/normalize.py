@@ -20,9 +20,7 @@ import numpy as np
 
 from .bits import BitString, QaryString, rank_bits
 from .errors import ValidationError, _integer
-from .exactdist import _check_enum_guard
-
-METHODS = ("vn", "peres", "parity")
+from .params import METHODS, _check_enum_guard
 
 _PREIMAGE_ROWS = 1 << 10  # members built per block, which bounds the scratch
 

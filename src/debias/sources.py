@@ -26,10 +26,9 @@ import numpy as np
 
 from .bits import BitString, QaryString, _key_rank, _keyed_array, _write_rows, format_bits
 from .errors import ValidationError, _integer, _interval
+from .params import TRAJECTORIES, DriftParams
 
 PAIR_KEYS = ("00", "01", "10", "11")
-
-TRAJECTORIES = ("walk", "sine", "fixed", "adversarial")
 
 # a k-memory source tabulates 2**k histories; the cap keeps that table small
 MAX_MARKOV_K = 16
@@ -90,25 +89,6 @@ def _number(path, lineno: int, text: str, what: str) -> float:
         return float(text)
     except ValueError:
         raise ValidationError(f"{path}: line {lineno}: not {what}: {text!r}") from None
-
-
-@dataclass(frozen=True)
-class DriftParams:
-    """Base zero-probability p0 with drift amplitude bound beta and speed bound delta."""
-
-    p0: float
-    beta: float
-    delta: float
-
-    def __post_init__(self):
-        _interval("p0", self.p0, 0, 1)
-        _interval("beta", self.beta, 0, math.inf, "[]")  # NaN: "beta must be >= 0"
-        _interval("beta", self.beta, 0, min(self.p0, self.p1), "[)")
-        _interval("delta", self.delta, 0, self.beta, "[]")
-
-    @property
-    def p1(self) -> float:
-        return 1.0 - self.p0
 
 
 class DriftTrace:

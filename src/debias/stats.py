@@ -12,15 +12,17 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bits import BitString, QaryString, _write_rows
 from .bounds import linear_bound, tv_bound_exact, tv_bound_naive
 from .errors import ValidationError
-from .exactdist import MAX_ENUM_N, DistributionTable, _check_enum_guard
+from .params import MAX_ENUM_N, MODES, _check_enum_guard
 
-MODES = ("non-overlapping", "overlapping")
+if TYPE_CHECKING:
+    from .exactdist import DistributionTable
 
 
 def _check_mode(mode: str) -> None:
@@ -183,6 +185,7 @@ def borel_series(x: BitString, max_m: int, mode: str = "non-overlapping"):
 
 def empirical_block_dist(x: BitString, m: int) -> DistributionTable:
     """Relative frequency of each disjoint m-bit block, as a distribution."""
+    from .exactdist import DistributionTable  # not loaded for the sweep
     report = borel_counts(x, m, "non-overlapping")
     return DistributionTable(m, report.counts / report.total)
 

@@ -224,6 +224,22 @@ def test_repr_floats_row_block_seams(monkeypatch, rows):
         rng.uniform(-1, 1, 1001) * 10.0 ** rng.integers(-15, 17, 1001)]))
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+def test_repr_floats_all_outside_fast_range(monkeypatch, rows):
+    # a chunk with no value in the integer route's range goes to repr whole,
+    # without running the integer route on stand-ins
+    monkeypatch.setattr("debias.bits._ROWS", rows)
+
+    def unused(*args):
+        raise AssertionError("_shortest ran on a chunk with no value in range")
+
+    monkeypatch.setattr("debias.bits._shortest", unused)
+    x = np.concatenate([10.0 ** np.linspace(-25, -15, 999), 10.0 ** np.linspace(16, 300, 99),
+                        [0.0, 5e-324, 2.0 ** (_E2[0] - 1), 2.0 ** (_E2[-1] + 1), np.inf, np.nan]])
+    _assert_repr(np.concatenate([x, -x]))
+    assert _repr_floats(np.empty(0)).shape == (0, 48)
+
+
 def test_repr_floats_powers_of_two_and_ten():
     # a power of two has a lower gap half the upper one; 10^k is the shortest
     # decimal for itself and sometimes for a neighbour

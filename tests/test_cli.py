@@ -338,6 +338,15 @@ def test_exit_codes(tmp_path, capsys):
      "amplitude bound violated at index 2: |eps| = nan"),
     (["generate", "--source", "constant", "--p0", "0.7", "-n", "8", "--seed", "-1",
       "-o", "{out}"], "seed must be an integer >= 0, got -1"),
+    # each size argument has one stated limit, checked before any allocation
+    (["sweep", "--m-list", "10", "--points", "100000000", "-o", "{out}"],
+     "--points = 100000000 exceeds MAX_SWEEP_POINTS = 10000"),
+    (["markov", "--k", "16", "--kappa", "0.05", "--m", "8", "-n", "100",
+      "--samples", "1000000000000", "-o", "{out}"],
+     "samples = 1000000000000 exceeds MAX_MARKOV_SAMPLES = 1000000"),
+    (["markov", "--k", "1", "--kappa", "0.05", "--m", "2", "-n", "100000",
+      "--samples", "100000", "-o", "{out}"],
+     "n * samples = 10000000000 exceeds MAX_MARKOV_WORK = 1000000000"),
 ])
 def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     bits = tmp_path / "four.txt"
@@ -381,6 +390,26 @@ def test_parser_built_once_and_dispatch_late_bound(monkeypatch, capsys):
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
     assert out == fresh.stdout and out.startswith("alpha 0.199999999986\n")
+
+
+def test_traced_names_bound_on_first_use_and_kept(monkeypatch, tmp_path, capsys):
+    # parse_bits, normalized_dist and exact_source_dist become cli globals when
+    # a command first needs them; one bound before that (a wrapper, a test
+    # double) is the one every command then calls
+    bits = tmp_path / "bits.txt"
+    bits.write_text("0110" * 8)
+    seen = []
+
+    def spy(fn):
+        return lambda *args: seen.append(fn.__name__) or fn(*args)
+
+    for fn in (parse_bits, normalized_dist, exact_source_dist):
+        monkeypatch.setattr(cli, fn.__name__, spy(fn), raising=False)
+    assert run(["analyze", "-i", str(bits), "--max-m", "2"]) == 0
+    for m in (["--m", "2"], []):
+        assert run(["dist", "--source", "constant", "--p0", "0.7", "-n", "6", *m]) == 0
+    assert seen == ["parse_bits", "normalized_dist", "exact_source_dist"]
+    capsys.readouterr()
 
 
 def _source_flags(spec, tmp_path) -> list:

@@ -94,6 +94,14 @@ def test_experiment_validation():
     for k in (-1, 17):
         with pytest.raises(ValidationError, match="MAX_MARKOV_K = 16"):
             MarkovExperiment(k=k, kappa=0.1, m=2, n=8, samples=100, seed=1)
+    # the sampler's arrays and its run time are bounded before anything is drawn
+    with pytest.raises(ValidationError,
+                       match=r"samples = 1000001 exceeds MAX_MARKOV_SAMPLES = 1000000"):
+        MarkovExperiment(k=1, kappa=0.1, m=2, n=8, samples=10 ** 6 + 1, seed=1)
+    with pytest.raises(ValidationError,
+                       match=r"n \* samples = 1001000000 exceeds MAX_MARKOV_WORK = 1000000000"):
+        MarkovExperiment(k=1, kappa=0.1, m=2, n=1001, samples=10 ** 6, seed=1)
+    MarkovExperiment(k=1, kappa=0.1, m=2, n=1000, samples=10 ** 6, seed=1)
 
 
 def test_output_length_guard_before_sampling():
