@@ -327,7 +327,9 @@ class BitString:
     """Immutable sequence of bits, one byte (0 or 1) per bit.
 
     ``+`` and slicing return new strings; :meth:`to_array` is a zero-copy,
-    read-only numpy view of the same bytes.
+    read-only numpy view of the same bytes.  An ndarray or bytes-like
+    argument is read whole by :meth:`from_array`; any other iterable is
+    listed first.
     """
 
     __slots__ = ("_b",)
@@ -342,7 +344,11 @@ class BitString:
                 i = exc.offset
                 raise ValidationError(
                     f"illegal bit character {bits[i]!r} at position {i}") from None
-        else:
+        elif isinstance(bits, (bytes, bytearray)):
+            self._b = BitString.from_array(np.frombuffer(bits, dtype=np.uint8))._b
+        elif isinstance(bits, (np.ndarray, memoryview)) and bits.ndim:
+            self._b = BitString.from_array(bits)._b
+        else:  # a 0-d array, like any non-iterable, fails in list()
             self._b = BitString.from_array(np.asarray(list(bits)))._b
 
     @classmethod
@@ -355,11 +361,12 @@ class BitString:
     def from_array(cls, arr) -> "BitString":
         """Build from a numpy array of 0/1 values (copies once)."""
         arr = np.asarray(arr)
-        bits = arr.astype(np.uint8, copy=False)
+        with np.errstate(invalid="ignore"):  # a NaN is reported below
+            bits = arr.astype(np.uint8, copy=False)
         if (bits is not arr and not np.array_equal(bits, arr)) or \
                 (bits.size and bits.max() > 1):
             i = int(np.flatnonzero((arr != 0) & (arr != 1))[0])
-            bad = arr.flat[i].item()
+            bad = arr.flat[i:i + 1].item()  # a Python scalar for every dtype
             raise ValidationError(f"illegal bit value {bad!r} at position {i}")
         return cls._of(bits.tobytes())
 

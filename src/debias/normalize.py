@@ -51,10 +51,13 @@ def vn_preimage(y: BitString, n: int) -> set[BitString]:
     n//2 pair slots, in order, and a discarded pair (00 or 11) in each other
     slot; for odd n either trailing bit follows.  The C(n//2, m) slot choices
     times 2^(n//2 - m) fillings are built as uint8 matrices of about 2^10
-    rows (whole slot choices), whose rows slice one ``bytes`` buffer each.
+    rows (whole slot choices); one void-dtype view of each matrix gives its
+    rows as ``bytes`` in a single ``tolist`` call.
     """
     m = len(y)
     n = _check_enum_guard(n, "n", 2 * m)  # 2m bits hold m unequal pairs
+    if not n:  # a "V0" view has no rows to list
+        return {BitString._of(b"")}
     pairs, gaps = n // 2, n // 2 - m
     slots = np.array(list(combinations(range(pairs), m)), dtype=np.intp)
     unequal = np.zeros((len(slots), pairs), dtype=bool)
@@ -77,8 +80,7 @@ def vn_preimage(y: BitString, n: int) -> set[BitString]:
             rows[..., :-1] = body[:, None, :]
             rows[..., -1] = (0, 1)
             body = rows.reshape(2 * len(body), n)
-        buf = body.tobytes()
-        out.update(BitString._of(buf[i * n:(i + 1) * n]) for i in range(len(body)))
+        out.update(map(BitString._of, body.view(f"V{n}").ravel().tolist()))
     return out
 
 

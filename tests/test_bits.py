@@ -42,6 +42,40 @@ def test_construction_forms():
             BitString(values)
 
 
+def test_construction_from_arrays_and_bytes():
+    # ndarray and bytes-like input take from_array's route, with the same
+    # error text and position as the list of the same values
+    rng = np.random.default_rng(3)
+    bits = rng.integers(0, 2, 1001)
+    want = BitString.from_array(bits)
+    for form in (bits, bits.astype(np.uint8), bits.astype(bool), bits.astype(np.float64),
+                 bits.reshape(7, 143), bytes(bits.astype(np.uint8)),
+                 bytearray(bits.astype(np.uint8)), memoryview(bits.astype(np.uint8))):
+        assert BitString(form) == want
+    assert BitString(b"") == BitString(np.array([], np.int64)) == BitString("")
+
+    class Unlisted(np.ndarray):  # an array is read whole, never element by element
+        def __iter__(self):
+            raise AssertionError("iterated")
+
+    assert BitString(bits.view(Unlisted)) == want
+    for values in ([0, 2], [0, 256], [0, -1], [0, 1, 0.5], [1, np.nan]):
+        with pytest.raises(ValidationError) as from_list:
+            BitString(values)
+        with pytest.raises(ValidationError) as from_array:
+            BitString(np.array(values))
+        assert str(from_array.value) == str(from_list.value)
+        assert f"position {len(values) - 1}" in str(from_list.value)
+    for raw in (b"\x00\x02", bytearray(b"\x01\xff")):
+        with pytest.raises(ValidationError, match=f"illegal bit value {raw[1]} at position 1"):
+            BitString(raw)
+    with pytest.raises(ValidationError, match="illegal bit value 2 at position 2"):
+        BitString(np.array([0, 1, 2], dtype=object))
+    for scalar in (np.array(1), np.array(0.0)):
+        with pytest.raises(TypeError):
+            BitString(scalar)
+
+
 def test_int_round_trip():
     x = BitString("01101")
     assert x.to_int() == 0b01101

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -338,15 +339,6 @@ def test_exit_codes(tmp_path, capsys):
      "amplitude bound violated at index 2: |eps| = nan"),
     (["generate", "--source", "constant", "--p0", "0.7", "-n", "8", "--seed", "-1",
       "-o", "{out}"], "seed must be an integer >= 0, got -1"),
-    # each size argument has one stated limit, checked before any allocation
-    (["sweep", "--m-list", "10", "--points", "100000000", "-o", "{out}"],
-     "--points = 100000000 exceeds MAX_SWEEP_POINTS = 10000"),
-    (["markov", "--k", "16", "--kappa", "0.05", "--m", "8", "-n", "100",
-      "--samples", "1000000000000", "-o", "{out}"],
-     "samples = 1000000000000 exceeds MAX_MARKOV_SAMPLES = 1000000"),
-    (["markov", "--k", "1", "--kappa", "0.05", "--m", "2", "-n", "100000",
-      "--samples", "100000", "-o", "{out}"],
-     "n * samples = 10000000000 exceeds MAX_MARKOV_WORK = 1000000000"),
 ])
 def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     bits = tmp_path / "four.txt"
@@ -363,6 +355,42 @@ def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and needle in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def _limit_child():
+    """Cap the address space at 1 GiB and the CPU time at 20 s (never above
+    an existing hard limit), so that a lost size limit fails in the child."""
+    for res, cap in ((resource.RLIMIT_AS, 1 << 30), (resource.RLIMIT_CPU, 20)):
+        hard = resource.getrlimit(res)[1]
+        cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
+        resource.setrlimit(res, (cap, cap))
+
+
+# each size argument has one stated limit, checked before any allocation; a
+# tree without it would allocate without bound, so these run in a bounded child
+@pytest.mark.parametrize("argv, needle", [
+    (["sweep", "--m-list", "10", "--points", "100000000", "-o", "{out}"],
+     "--points = 100000000 exceeds MAX_SWEEP_POINTS = 10000"),
+    (["markov", "--k", "16", "--kappa", "0.05", "--m", "8", "-n", "100",
+      "--samples", "1000000000000", "-o", "{out}"],
+     "samples = 1000000000000 exceeds MAX_MARKOV_SAMPLES = 1000000"),
+    (["markov", "--k", "1", "--kappa", "0.05", "--m", "2", "-n", "100000",
+      "--samples", "100000", "-o", "{out}"],
+     "n * samples = 10000000000 exceeds MAX_MARKOV_WORK = 1000000000"),
+], ids=["sweep-points", "markov-samples", "markov-work"])
+def test_size_limits_fail_fast_in_a_bounded_child(argv, needle, tmp_path):
+    out = tmp_path / "out.csv"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    # one BLAS thread: OpenBLAS maps a buffer per thread when numpy loads,
+    # which on a many-core machine alone could pass the 1 GiB cap
+    done = subprocess.run(
+        [sys.executable, "-m", "debias.cli", *(a.format(out=out) for a in argv)],
+        capture_output=True, text=True, preexec_fn=_limit_child, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error:") and needle in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == "" and not out.exists()
 
 
 def test_module_runs_as_script():

@@ -98,6 +98,24 @@ def test_vn_preimage_block_seams(monkeypatch):
             assert vn_preimage(y, n) == members
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+def test_vn_preimage_members_are_plain_bitstrings(rows, monkeypatch):
+    # each block's members come from one void-dtype view of its rows: every
+    # one must be a BitString like any other, whatever the block size
+    monkeypatch.setattr("debias.normalize._PREIMAGE_ROWS", rows)
+    cases = [(n, BitString.from_int(v, m)) for n in (0, 1, 2, 3)
+             for m in range(n // 2 + 1) for v in range(1 << m)]
+    for n, y in cases + [(22, BitString("0110")), (23, BitString("0110"))]:
+        got = vn_preimage(y, n)
+        m = len(y)
+        assert len(got) == math.comb(n // 2, m) * 2 ** (n // 2 - m) * (1 + n % 2)
+        for s in got:
+            assert type(s) is BitString and len(s) == n
+            plain = BitString(s.to01())
+            assert s == plain and hash(s) == hash(plain)
+    assert vn_preimage(BitString(""), 0) == {BitString("")}
+
+
 @pytest.mark.parametrize("n, y", [(21, "101"), (21, ""), (22, "0110"),
                                   (26, "110010011"), (26, "")])
 def test_vn_preimage_size_at_large_n(n, y):
