@@ -11,13 +11,18 @@ Two on-disk formats are supported:
   The length prefix makes lengths that are not a multiple of 8 unambiguous.
 
 Every text file the package writes goes through :func:`_write_rows`, which
-lays a chunk of lines out as NUL-padded ``uint8`` columns and prints every
-float field as ``repr`` does, the shortest decimal that reads back to the
-same float, with :func:`_repr_floats`, whatever the number of rows.
+lays a block of lines out as one buffer of NUL-padded 4-byte groups, drops
+the padding with one ``translate`` and writes ASCII bytes (``str`` only to
+an open text file).  It prints every float field as ``repr`` does, the
+shortest decimal that reads back to the same float, through
+:func:`_field`, whatever the number of rows: the digits come from
+:mod:`debias.shortest`, and each block keeps only the groups its values
+print.
 """
 
 from __future__ import annotations
 
+import io
 import re
 import struct
 from collections.abc import Iterable
@@ -26,6 +31,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import BitFormatError, ValidationError, _integer
+from .shortest import _E2, _POW10, _shortest
 
 FORMATS = ("ascii", "packed")
 
@@ -35,7 +41,9 @@ _ASCII_WS = b" \t\n\r\x0b\x0c"
 _DECODE = b"\x02" * 0x30 + b"\x00\x01" + b"\x02" * (256 - 0x32)
 _ENCODE = bytes.maketrans(b"\x00\x01", b"01")
 
-_CHUNK = 1 << 18  # bytes of padded row text that _write_rows lays out per write
+# bytes of padded lines per write, a %r field counted at _FIELD bytes and a
+# key with the 32 unpacked bits of its rank: 8192 lines of a drift trace
+_CHUNK = 49 << 13
 
 
 def format_bits(value: int, length: int) -> str:
@@ -77,188 +85,155 @@ def _keyed_array(table, length: int, name: str, bad_keys: str) -> np.ndarray:
     return out
 
 
-# Shortest round-trip decimals.  A float64 of binary exponent e2 (2^e2 <= |x|
-# < 2^(e2+1)) and 53-bit integer significand M is x = M 2^(e2-52).  With
-# q = 17 - floor(e2 log10 2), X = |x| 10^q lies in [10^17, 2 10^18) and is
-# M 5^q / 2^s, s = 52 - e2 - q; for -40 <= e2 <= 50, s is 0..62, so
-# M * (5^q 2^(64-s)) is X exactly as 64 integer and 64 fraction bits, and
-# half the gap to a neighbouring float, 5^q / 2^(s+1), is G / 2^64 with
-# G = 5^q 2^(63-s) (half of that below a power of two).  Other values,
-# among them 0, subnormals, inf and nan, are left to repr.
-_E2 = range(-40, 51)
-_Q = np.array([17 - ((e2 * 78913) >> 18) for e2 in _E2])  # floor(e2 log10 2) for |e2| < 1650
-_WIDE = [5 ** int(q) << (12 + e2 + int(q)) for e2, q in zip(_E2, _Q)]  # 5^q 2^(64-s)
-_W0, _W1, _W2 = (np.array([w >> k & 0xFFFFFFFF for w in _WIDE], np.uint64) for k in (0, 32, 64))
-_GI, _GF = (np.array([w >> k & (1 << 64) - 1 for w in _WIDE], np.uint64) for k in (65, 1))
-_POW10 = np.array([10 ** i for i in range(20)], np.uint64)
-_LO32 = np.uint64(0xFFFFFFFF)
-_MANT = np.uint64((1 << 52) - 1)
-
 # A %r field is 12 groups of 4 bytes, each an entry of _TEXT: the sign, 16
 # integer digits, the point, 20 fraction digits and the exponent.  _MASK
 # blanks the leading integer and fraction places a value does not print.
+# A block of rows keeps only the groups some value of it prints (_field).
 _TEXT = np.zeros((10103, 4), np.uint8)
 _digit = np.arange(48, 58, dtype=np.uint8)
 _TEXT[:10000].reshape(10, 10, 10, 10, 4)[...] = np.stack(np.broadcast_arrays(
     _digit[:, None, None, None], _digit[:, None, None], _digit[:, None], _digit), -1)
-_NUL, _DOT, _MINUS, _EXP = 10000, 10001, 10002, 10003  # _EXP + j: "e-%02d" % j
+_NUL, _DOT, _MINUS, _EXP = np.uint16([10000, 10001, 10002, 10003])  # _EXP + j: "e-%02d" % j
 _TEXT[_DOT, 0], _TEXT[_MINUS, 0] = ord("."), ord("-")
 _TEXT[_EXP:, :2] = ord("e"), ord("-")
 _TEXT[_EXP:, 2:] = _TEXT[:100, 2:]
 _TEXT = _TEXT.view(np.uint32).ravel()
 _FIELD = 48
-_ROWS = 512  # fields per block of the last, 12-index-per-field step of _shortest
+_ROWS = 512  # rows per block of the last step of _lay, which casts its indices to 8 bytes
 _MASK = np.frombuffer(b"".join(  # row 21 a + b blanks a integer and b fraction places
     b"\xff" * 4 + bytes(a) + b"\xff" * (20 - a) + bytes(b) + b"\xff" * (24 - b)
     for a in range(17) for b in range(21)), np.uint32).reshape(-1, _FIELD // 4)
 
 
-def _shortest(x: np.ndarray, e: np.ndarray):
-    """The ``repr`` fields of the finite floats ``x`` whose exponents ``e2``
-    are ``_E2[e]``, and which of them are certain: an exact tie between two
-    shortest decimals is left to ``repr``.  Each 8-byte temporary is freed,
-    or written over in place, once it is used up."""
-    u32 = np.uint64(32)
-    m0 = x.view(np.uint64) & _MANT
-    pow2 = np.flatnonzero(m0 == 0)
-    m0 |= np.uint64(1 << 52)
-    # X = d + phi / 2^64: the 53 x 73-bit product M * _WIDE[e] in 32-bit
-    # columns, summed mod 2^64 in any order
-    m1 = m0 >> u32
-    m0 &= _LO32
-    w = _W0.take(e)
-    p10 = m1 * w
-    phi = m0 * w  # p00
-    _W1.take(e, out=w)
-    p01 = m0 * w
-    mid = phi >> u32
-    phi &= _LO32
-    mid += p01 & _LO32
-    mid += p10 & _LO32
-    phi |= mid << u32
-    d = mid
-    d >>= u32
-    p01 >>= u32
-    d += p01
-    p10 >>= u32
-    d += p10
-    del p01, p10
-    np.multiply(m1, w, out=w)  # m1 * w1
-    d += w
-    _W2.take(e, out=w)
-    m0 *= w
-    d += m0
-    m1 *= w
-    m1 <<= u32
-    d += m1
-    del m0, m1, w
-    # hi and lo: the integers just below the ends of the round-trip interval,
-    # X plus and minus half the gap to a neighbour.  An end is an integer
-    # only if 53 - e2 <= q, that is for e2 > 50, so whether the interval
-    # holds its ends (it does for even M) never matters here.
-    gi, gf = _GI.take(e), _GF.take(e)
-    carry = phi + gf < phi
-    hi = d + gi
-    hi += carry
-    gf[pow2] = (gf[pow2] >> np.uint64(1)) | (gi[pow2] << np.uint64(63))
-    gi[pow2] >>= np.uint64(1)
-    lo = d - gi
-    lo -= phi < gf
-    exact = phi == 0
-    del gi, gf, phi, pow2, carry
-    # k: the most places a multiple of 10^k inside the interval drops; at
-    # least 1, as the interval is wider than 10, and a multiple of 10^(k+1)
-    # inside is a multiple of 10^k
-    k = np.ones(len(x), np.intp)
-    for j in range(2, 19):
-        more = hi // _POW10[j] != lo // _POW10[j]
-        if not more.any():
-            break
-        k += more
-    del more
-    # of the two multiples of 10^k around X, the one inside, or else the nearer
-    p = _POW10.take(k)
-    t = d // p
-    tp = t * p
-    r = d
-    r -= tp
-    del d
-    down = tp > lo
-    tp += p
-    up = tp <= hi
-    del tp, hi, lo
-    half = p >> np.uint64(1)
-    eq = r == half
-    above = r > half
-    del r, half
-    tie = down & up & eq & exact
-    up &= ~down | above | (eq & ~exact)
-    del down, eq, above, exact
-    c = t
-    c += up
-    del up
-    # repr's layout: x = 0.(the digits of c) 10^point
-    p *= c
-    digits = (p >= _POW10[18]) - k
-    digits += 18
-    del p
-    point = digits + k
-    point -= _Q.take(e)
-    del k
+def _groups(v: np.ndarray, out: np.ndarray) -> None:
+    """Write the uint64 values ``v``, which it uses up, as 4-digit groups
+    into the columns of ``out``, the last group in the last column; each
+    value has at most as many groups as ``out`` has columns (none for a
+    block of e forms with one digit)."""
+    q, t = np.empty_like(v), np.empty_like(v)
+    for i in range(out.shape[1] - 1, 0, -1):
+        np.floor_divide(v, np.uint64(10000), out=q)
+        v -= np.multiply(q, np.uint64(10000), out=t)
+        out[:, i] = v
+        v, q = q, v
+    if out.shape[1]:
+        out[:, 0] = v
+
+
+def _field(x: np.ndarray):
+    """The ``repr`` field of each value of the float64 array ``x``, cropped
+    to the 4-byte groups some value of ``x`` prints:
+    ``(size, fill, mask, row, slow, text)``.  ``fill(out)`` writes the
+    ``_TEXT`` index of each of the ``size`` groups into the columns of
+    ``out``, ``mask.take(row)`` blanks the places a value does not print,
+    and each row of ``slow`` holds the ``repr`` in ``text`` instead."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    e = x.view(np.int64) >> 52
+    e &= 0x7FF
+    e -= 1023 + _E2[0]
+    fast = e.view(np.uintp) < len(_E2)  # 0 <= e < len(_E2)
+    if not fast.any():
+        slow = np.arange(len(x))
+    elif fast.all():
+        c, digits, point, ok = _shortest(x, e)
+        slow = np.flatnonzero(~ok)
+    else:
+        # values outside the integer route are stood in by 1.0 and go to repr
+        c, digits, point, ok = _shortest(np.where(fast, x, 1.0), np.where(fast, e, -_E2[0]))
+        slow = np.flatnonzero(~(ok & fast))
+    del e, fast
+    text = [repr(v) for v in x[slow].tolist()]
+    longest = max(map(len, text), default=0)
+    if len(slow) == len(x):  # every row is a repr, so any index and mask do
+        size = -(-longest // 4)
+        return (size, lambda out: out.fill(_NUL), _MASK[:, :size], np.zeros(len(x), np.intp),
+                slow, np.array(text, f"S{4 * size}"))
+    # repr's layout of x = 0.(the digits of c) 10^point
     sci = point <= -4  # x < 2^51 is below 10^16, so never large enough for e+
     lead = np.where(sci, 1, point)  # digits before the point
     frac = digits - lead  # digits after it, if positive
     del digits
     shown = np.where(sci, frac, np.maximum(frac, 1))
-    # the integer and fraction digits, 4 to a group; the integer part is
-    # below 10^16, so its top group is the sign's
-    v = np.empty((len(x), 2), np.uint64)
-    p = _POW10[np.clip(frac, 0, 19)]
-    v[:, 0] = c // p
-    v[:, 1] = c - v[:, 0] * p
-    v[:, 0] *= _POW10[np.clip(-frac, 0, 19)]
-    del c, p, frac
-    g = np.empty((len(x), 2, 6), np.uint16)
-    q = np.empty_like(v)
-    for i in range(4, 0, -1):
-        np.floor_divide(v, np.uint64(10000), out=q)
-        v -= q * np.uint64(10000)
-        g[:, :, i] = v
-        v, q = q, v
-    g[:, 1, 0] = v[:, 1]
-    del v, q
-    g[:, 0, 0] = np.where(x < 0, _MINUS, _NUL)
-    g[:, 0, 5] = np.where(shown > 0, _DOT, _NUL)
-    g[:, 1, 5] = np.where(sci, _EXP + 1 - point, _NUL)
-    del point, sci
     np.maximum(lead, 1, out=lead)
+    # the groups kept: the sign, the integer groups up to the longest integer
+    # part (its top group is the sign's), the point, the fraction groups up to
+    # the longest fraction (fraction digits end at the last group), and the
+    # exponent if some value prints one; all 12 if a repr would not fit
+    ints, fracs, exp = -(-int(lead.max()) // 4), -(-int(shown.max()) // 4), bool(sci.any())
+    if 4 * (2 + ints + fracs + exp) < longest:
+        ints, fracs, exp = 4, 5, True
+    keep = [0, *range(5 - ints, 5), 5, *range(11 - fracs, 11)] + [11] * exp
+    p = _POW10.take(frac, mode="clip")  # 10^frac, or 1 for frac < 0
+    v = c // p  # the integer digits
+    c -= v * p  # the fraction digits
+    np.negative(frac, out=frac)
+    v *= _POW10.take(frac, mode="clip")
+    del p, frac
     row = (16 - lead) * 21 + 20 - shown  # of _MASK
-    del lead, shown
-    # _ROWS rows at a time: take casts its indices to 8 bytes each
-    text = np.empty((len(x), 12), np.uint32)
-    for lo in range(0, len(x), _ROWS):
-        block = text[lo:lo + _ROWS]
-        _TEXT.take(g[lo:lo + _ROWS], out=block.reshape(-1, 2, 6), mode="clip")
-        block &= _MASK.take(row[lo:lo + _ROWS], axis=0)
-    return text.view(np.uint8), ~tie
+    del lead
+
+    def fill(out):
+        out[:, 0] = np.where(x < 0, _MINUS, _NUL)
+        _groups(v, out[:, 1:1 + ints])
+        out[:, 1 + ints] = np.where(shown > 0, _DOT, _NUL)
+        _groups(c, out[:, 2 + ints:2 + ints + fracs])
+        if exp:
+            out[:, -1] = np.where(sci, _EXP + 1 - point, _NUL)
+
+    return len(keep), fill, _MASK[:, keep], row, slow, np.array(text, f"S{4 * len(keep)}")
+
+
+def _lay(cells, rows: int) -> bytearray:
+    """``rows`` lines of text, each as the same number of NUL-padded 4-byte
+    groups, the ``%r`` fields looked up in ``_TEXT`` by one ``take`` per
+    ``_ROWS`` rows.  A cell is a float64 column (a ``%r`` field, through
+    :func:`_field`), the bytes of literal text as a 1-d uint8 array, or a
+    2-d uint8 array of text, one row per line."""
+    laid, width = [], 0
+    for cell in cells:
+        if cell.dtype == np.float64:
+            cell = _field(cell)
+            size = cell[0]
+        else:
+            size = -(-cell.shape[-1] // 4)
+        laid.append((width, size, cell))
+        width += size
+    index = np.empty((rows, width), np.uint16)
+    fields, texts = [], []  # per field: its place, a mask of the whole row, and the rest
+    for at, size, cell in laid:
+        if isinstance(cell, tuple):
+            cell[1](index[:, at:at + size])
+            mask = np.full((len(cell[2]), width), 0xFFFFFFFF, np.uint32)
+            mask[:, at:at + size] = cell[2]
+            fields.append((at, size, mask, *cell[3:]))
+        else:
+            index[:, at:at + size] = _NUL
+            texts.append((at, cell))
+    del laid, cell  # and with them each fill, which holds its field's digits
+    buf = bytearray(4 * rows * width)  # translate reads it in place
+    out = np.frombuffer(buf, np.uint32).reshape(rows, width)
+    for lo in range(0, rows, _ROWS):
+        block = out[lo:lo + _ROWS]
+        _TEXT.take(index[lo:lo + _ROWS], out=block, mode="clip")
+        for _, _, mask, row, _, _ in fields:
+            block &= mask.take(row[lo:lo + _ROWS], axis=0)
+    del index
+    out = out.view(np.uint8)
+    for at, size, _, _, slow, text in fields:
+        out[slow, 4 * at:4 * (at + size)] = text.view(np.uint8).reshape(len(slow), 4 * size)
+    for at, text in texts:
+        out[:, 4 * at:4 * at + text.shape[-1]] = text
+    return buf
 
 
 def _repr_floats(x) -> np.ndarray:
     """``repr(float(v))`` of each value of the float64 array ``x``, as one
     NUL-padded row of ``_FIELD`` bytes each."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    e = (x.view(np.uint64) >> np.uint64(52)).astype(np.intp) & 0x7FF
-    e -= 1023 + _E2[0]
-    fast = (e >= 0) & (e < len(_E2))
-    if fast.any():
-        # values outside the integer route are stood in by 1.0 and go to repr
-        out, ok = _shortest(np.where(fast, x, 1.0), np.where(fast, e, -_E2[0]))
-        slow = np.flatnonzero(~(ok & fast))
-    else:
-        out, slow = np.empty((len(x), _FIELD), np.uint8), np.arange(len(x))
-    if len(slow):
-        text = np.array([repr(v) for v in x[slow].tolist()], f"S{_FIELD}")
-        out[slow] = text.view(np.uint8).reshape(-1, _FIELD)
+    text = _lay([x], len(x))
+    width = len(text) // max(len(x), 1)
+    out = np.zeros((len(x), _FIELD), np.uint8)
+    out[:, :width] = np.frombuffer(text, np.uint8).reshape(len(x), width)
     return out
 
 
@@ -270,16 +245,20 @@ def _write_rows(file, header: str, blocks) -> None:
     length)`` block: ``row`` with its ``%`` fields filled, in order, with the
     entry's value in each of the equal-length ``columns``, and its ``{}``
     with the entry's rank as a ``length``-bit key; the rest of ``row`` holds
-    no ``%``.  ``file`` is a path (opened with ``newline=""``) or an open
-    text file.  A ``%r`` field holds a float64 column and prints ``repr``
-    through :func:`_repr_floats`; any other field is ``%``-formatted one
-    value at a time.  Each write is about ``_CHUNK`` bytes of lines, laid
-    out as NUL-padded uint8 columns side by side, from which one
-    ``translate`` drops the padding."""
+    no ``%``.  ``file`` is a path (opened with ``"wb"``), an open binary file
+    or an open text file; only a text file gets ``str``, the others get the
+    ASCII bytes.  A ``%r`` field holds a float64 column and prints ``repr``
+    through :func:`_field`; any other field is ``%``-formatted one value at a
+    time.  Each write is the lines of about ``_CHUNK`` bytes of
+    ``_FIELD``-wide fields, laid out by :func:`_lay` as one row buffer of
+    4-byte groups, each ``%r`` field cropped to the groups its block prints,
+    from which one ``translate`` drops the padding."""
     if not hasattr(file, "write"):
-        with open(file, "w", newline="") as f:
+        with open(file, "wb") as f:
             return _write_rows(f, header, blocks)
-    file.write(header)
+    put = (lambda b: file.write(b.decode("ascii"))) if isinstance(file, io.TextIOBase) \
+        else file.write
+    put(header.encode("ascii"))
     for row, columns, length in blocks:
         rows = len(columns[0]) if columns else 0
         if not rows:
@@ -293,24 +272,26 @@ def _write_rows(file, header: str, blocks) -> None:
             else:
                 dtype = np.float64 if part == "%r" else None
                 cells.append((part, np.asarray(next(values), dtype)))
-        width = sum(length if c is None else len(c) if isinstance(c, np.ndarray) else _FIELD
+        width = sum(32 + length if c is None else len(c) if isinstance(c, np.ndarray) else _FIELD
                     for c in cells)
         step = max(1, _CHUNK // width)
         for lo in range(0, rows, step):
             hi = min(lo + step, rows)
-            text = []
-            for c in cells:
-                if c is None:
-                    text.append(rank_bits(lo, hi, length) + np.uint8(48))
-                elif isinstance(c, np.ndarray):
-                    text.append(np.broadcast_to(c, (hi - lo, len(c))))
-                elif c[0] == "%r":
-                    text.append(_repr_floats(c[1][lo:hi]))
-                else:
-                    cell = np.array([c[0] % v for v in c[1][lo:hi].tolist()], "S")
-                    text.append(cell.view(np.uint8).reshape(hi - lo, -1))
-            text = np.concatenate(text, axis=1).tobytes().translate(None, b"\0")
-            file.write(text.decode("ascii"))
+            put(_lay([_cut(c, lo, hi, length) for c in cells], hi - lo).translate(None, b"\0"))
+
+
+def _cut(cell, lo: int, hi: int, length: int) -> np.ndarray:
+    """Rows ``lo .. hi - 1`` of one cell of a :func:`_write_rows` row, as
+    :func:`_lay` takes it."""
+    if cell is None:
+        return rank_bits(lo, hi, length) + np.uint8(48)
+    if isinstance(cell, np.ndarray):
+        return cell
+    fmt, values = cell
+    if fmt == "%r":
+        return values[lo:hi]
+    text = np.array([fmt % v for v in values[lo:hi].tolist()], "S")
+    return text.view(np.uint8).reshape(hi - lo, -1)
 
 
 def _decode_ascii(data: bytes, skip: bytes = b"") -> bytes:

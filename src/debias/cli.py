@@ -1,8 +1,9 @@
 """Command-line front end.  Every subcommand is a thin shell over the library;
 no numeric logic lives here.
 
-The parser is built once per process (`build_parser` is cached), so repeated
-in-process calls of `run` only parse; subcommand ``x`` runs the module global
+The parser is built once per process (`build_parser` is cached), with the
+arguments of only the subcommands a process runs, so repeated in-process
+calls of `run` only parse; subcommand ``x`` runs the module global
 ``cmd_x``, looked up at call time.
 
 At module level this imports only ``errors`` and the standard library; each
@@ -18,6 +19,7 @@ import argparse
 import functools
 import importlib
 import math
+import os
 import sys
 from contextlib import nullcontext
 
@@ -92,6 +94,17 @@ def _read_bits(path: str, fmt: str):
         return parse_bits(f.read(), fmt)  # noqa: F821  (bound by _bind)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether the paths ``a`` and ``b`` name one file: the same path once
+    links are resolved, or, if both exist, the same inode."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 def cmd_generate(args) -> int:
     """Write the bits, and the trace if asked, chunk by chunk as they are
     drawn; everything is checked before either file is opened."""
@@ -100,9 +113,11 @@ def cmd_generate(args) -> int:
     spec = _source_from_args(args)
     if args.trace_out and not isinstance(spec, sources.DriftingSource):
         raise ValidationError(f"{args.source} source has no drift trace to write")
+    if args.trace_out and _same_file(args.out, args.trace_out):
+        raise ValidationError(f"-o and --trace-out name one file: {args.trace_out}")
     chunks = sources._chunks(spec, args.n, args.seed)
     with open(args.out, "wb") as f, \
-            (open(args.trace_out, "w", newline="") if args.trace_out else nullcontext()) as t:
+            (open(args.trace_out, "wb") if args.trace_out else nullcontext()) as t:
         f.write(_header(args.n, args.format))
         for bits, eps in chunks:
             f.write(_payload(bits.tobytes(), args.format))
@@ -228,16 +243,7 @@ def cmd_markov(args) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    from .params import METHODS, MODES
-    ap = argparse.ArgumentParser(
-        prog="debias",
-        description="Bit-source generation, von Neumann-style un-biasing, and "
-                    "exact distribution/bound analysis.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="sample a bit source to a file")
+def _generate_args(p: argparse.ArgumentParser) -> None:
     _add_source_flags(p)
     p.add_argument("-n", type=int, required=True, help="number of bits")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -245,47 +251,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="ascii", choices=["ascii", "packed"])
     p.add_argument("--trace-out", help="write the realized drift trace here")
 
-    p = sub.add_parser("normalize", help="un-bias a bit file")
+
+def _normalize_args(p: argparse.ArgumentParser) -> None:
+    from .params import METHODS
     p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--block", type=int, default=2, help="parity block length")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--format", default="ascii", choices=["ascii", "packed"])
 
-    p = sub.add_parser("analyze", help="block-frequency report for a bit file")
+
+def _analyze_args(p: argparse.ArgumentParser) -> None:
+    from .params import MODES
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--max-m", type=int, default=3)
     p.add_argument("--mode", default="non-overlapping", choices=list(MODES))
     p.add_argument("--csv", help="also write a machine-readable report here")
     p.add_argument("--format", default="ascii", choices=["ascii", "packed"])
 
-    p = sub.add_parser("dist", help="exact source or normalized-output table (CSV)")
+
+def _dist_args(p: argparse.ArgumentParser) -> None:
     _add_source_flags(p)
     p.add_argument("-n", type=int, required=True, help="source string length")
     p.add_argument("--m", type=int, help="normalized output length (omit for raw)")
     p.add_argument("-o", "--out")
 
-    p = sub.add_parser("tv", help="worst-case distance from uniform at a given alpha")
+
+def _tv_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--method", default="exact", choices=["exact", "naive", "linear"])
 
-    p = sub.add_parser("calibrate", help="largest alpha (and drift speed) for a "
-                                         "target closeness rho")
+
+def _calibrate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--method", default="exact", choices=["exact", "naive", "linear"])
     p.add_argument("--p0", type=float)
     p.add_argument("--beta", type=float)
 
-    p = sub.add_parser("sweep", help="bound-family CSV over an m x alpha grid")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m-list", required=True, help="comma-separated block lengths")
     p.add_argument("--alpha-min", type=float, default=1e-6)
     p.add_argument("--alpha-max", type=float, default=0.5)
     p.add_argument("--points", type=int, default=25)
     p.add_argument("-o", "--out")
 
-    p = sub.add_parser("markov", help="bounded-memory source exploration")
+
+def _markov_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--p0", type=float, default=0.5)
@@ -295,12 +309,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("-o", "--out")
 
+
+# subcommand -> (its help line, what adds its arguments)
+_COMMANDS = {
+    "generate": ("sample a bit source to a file", _generate_args),
+    "normalize": ("un-bias a bit file", _normalize_args),
+    "analyze": ("block-frequency report for a bit file", _analyze_args),
+    "dist": ("exact source or normalized-output table (CSV)", _dist_args),
+    "tv": ("worst-case distance from uniform at a given alpha", _tv_args),
+    "calibrate": ("largest alpha (and drift speed) for a target closeness rho",
+                  _calibrate_args),
+    "sweep": ("bound-family CSV over an m x alpha grid", _sweep_args),
+    "markov": ("bounded-memory source exploration", _markov_args),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _subparsers():
+    ap = argparse.ArgumentParser(
+        prog="debias",
+        description="Bit-source generation, von Neumann-style un-biasing, and "
+                    "exact distribution/bound analysis.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    return ap, {name: sub.add_parser(name, help=h) for name, (h, _) in _COMMANDS.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser, one per process.  Each subcommand's arguments are added
+    the first time that subcommand is asked for; the top level lists them
+    all without building them."""
+    ap, subs = _subparsers()
+    if command is not None:
+        _COMMANDS[command][1](subs[command])
     return ap
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option with a value, so the first word that is
+    # no option names the subcommand
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command if command in _COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

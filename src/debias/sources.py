@@ -123,7 +123,8 @@ class DriftTrace:
         return f"DriftTrace({self.epsilons.tolist()!r})"
 
     def save(self, path) -> None:
-        """Write one decimal offset per line."""
+        """Write one decimal offset per line, as ``repr`` prints it, to a
+        path, an open binary file or an open text file."""
         _save_offsets(path, self.epsilons)
 
     @classmethod
@@ -133,8 +134,9 @@ class DriftTrace:
 
 
 def _save_offsets(file, eps: np.ndarray) -> None:
-    """Write ``eps`` one decimal offset per line, to a path or an open text
-    file; chunks of a trace written in order make the trace's file."""
+    """Write ``eps`` one decimal offset per line, as ``repr`` prints it, to a
+    path, an open binary file or an open text file; chunks of a trace
+    written in order make the trace's file."""
     _write_rows(file, "", [("%r\n", [eps], 0)])
 
 

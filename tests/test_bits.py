@@ -325,3 +325,32 @@ def test_write_rows_prints_repr_at_every_block_size():
         want = "h\n" + "".join(f"x{a!r},{b!r}\r\n" for b in blocks
                                for a, b in zip(b.tolist(), b[::-1].tolist()))
         assert buf.getvalue() == want, n
+
+
+def test_write_rows_crops_each_block_to_its_own_groups(monkeypatch, tmp_path):
+    # 8 rows a block (49 padded bytes a row), each block cropped to its own
+    # groups: all |x| < 1; integer parts of up to 16 digits (4 groups); e
+    # forms; e forms of one digit (no fraction group); none in the integer
+    # route's range; the tie 2^50 + 0.25 among small values; and a repr
+    # wider than its block's crop, which widens it
+    monkeypatch.setattr("debias.bits._CHUNK", 8 * 49)
+    rng = np.random.default_rng(16)
+    x = np.concatenate([
+        rng.uniform(-1, 1, 8),
+        [1.5e15, -123456789012.25, 2.0 ** 50, 9999.5, 10.0, -1e12, 0.5, 7e14],
+        rng.uniform(-1, 1, 8) * 10.0 ** rng.integers(-12, -5, 8),
+        [1e-05, -2e-07, 3e-10, -4e-12, 5e-06, 6e-08, -7e-11, 9e-05],
+        [0.0, -0.0, 5e-324, 1e-300, 2.0 ** 51, -1e300, np.inf, np.nan],
+        [2.0 ** 50 + 0.25, 0.5, -0.25, 1.0, 2.0, -3.0, 0.125, 4.0],
+        [0.5, -2.2250738585072014e-308, 0.25, 1.0, -2.0, 0.75, 1e-300, 8.0],
+        rng.uniform(-0.05, 0.05, 8)])
+    want = "".join(f"{v!r}\n" for v in x.tolist())
+    blocks = [("%r\n", [x], 0)]
+    _write_rows(tmp_path / "path.txt", "", blocks)
+    with open(tmp_path / "open.txt", "wb") as f:
+        _write_rows(f, "", blocks)
+    buf = io.StringIO()
+    _write_rows(buf, "", blocks)
+    assert (tmp_path / "path.txt").read_bytes() == want.encode()
+    assert (tmp_path / "open.txt").read_bytes() == want.encode()
+    assert buf.getvalue() == want

@@ -339,6 +339,8 @@ def test_exit_codes(tmp_path, capsys):
      "amplitude bound violated at index 2: |eps| = nan"),
     (["generate", "--source", "constant", "--p0", "0.7", "-n", "8", "--seed", "-1",
       "-o", "{out}"], "seed must be an integer >= 0, got -1"),
+    (["generate", "--source", "drifting", "--p0", "0.5", "--beta", "0.1", "--delta", "0.01",
+      "-n", "8", "-o", "{out}", "--trace-out", "{out}"], "-o and --trace-out name one file"),
 ])
 def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     bits = tmp_path / "four.txt"
@@ -355,6 +357,22 @@ def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and needle in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def test_generate_refuses_one_file_for_bits_and_trace(tmp_path, capsys):
+    # a spelling of the bits path, or a hard or symbolic link to it, names
+    # the same file; neither file is opened
+    bits = tmp_path / "bits.txt"
+    bits.write_text("kept")
+    os.link(bits, tmp_path / "hard.txt")
+    (tmp_path / "soft.txt").symlink_to(bits)
+    argv = ["generate", "--source", "drifting", "--p0", "0.5", "--beta", "0.1", "--delta",
+            "0.01", "-n", "8", "-o", str(bits), "--trace-out"]
+    for trace in (os.path.join(tmp_path, ".", "bits.txt"), tmp_path / "hard.txt",
+                  tmp_path / "soft.txt"):
+        assert run(argv + [str(trace)]) == 1
+        assert "-o and --trace-out name one file" in capsys.readouterr().err
+    assert bits.read_text() == "kept"
 
 
 def _limit_child():
@@ -398,6 +416,29 @@ def test_module_runs_as_script():
     done = subprocess.run([sys.executable, "-m", "debias.cli", "tv", "--m", "2", "--alpha", "0.2"],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert (done.returncode, done.stdout, done.stderr) == (0, "0.11\n", "")
+
+
+def test_help_is_the_same_with_one_subcommand_built(monkeypatch, capsys):
+    # a fresh process builds the arguments of only the subcommand it runs;
+    # its help, and the top level's, are those of a parser with every
+    # subcommand built
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    for command in cli._COMMANDS:
+        build_parser(command)
+    for argv in [["--help"]] + [[c, "--help"] for c in cli._COMMANDS]:
+        assert run(argv) == 0
+        done = subprocess.run([sys.executable, "-m", "debias.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout) == (0, capsys.readouterr().out), argv
+    done = subprocess.run(
+        [sys.executable, "-c", "from debias import cli\n"
+         "assert cli.run(['tv', '--m', '2', '--alpha', '0.2']) == 0\n"
+         "print([c for c, p in cli._subparsers()[1].items()\n"
+         "       if '[-h]\\n' not in p.format_usage()])"],
+        capture_output=True, text=True, env=env)
+    assert done.stdout.splitlines() == ["0.11", "['tv']"], done.stderr
 
 
 def test_parser_built_once_and_dispatch_late_bound(monkeypatch, capsys):

@@ -413,8 +413,9 @@ def test_csv_matches_csv_writer_oracle(tmp_path):
 
 
 def test_csv_chunk_seams(monkeypatch):
-    # 250-byte chunks of 51 + n-byte padded rows: 4 rows, so seams fall
-    # inside every table from length 3 up
+    # 250-byte chunks of 83 + n-byte padded rows (a key also counts the 32
+    # unpacked bits of its rank): 2 or 3 rows, so seams fall inside every
+    # table from length 2 up
     monkeypatch.setattr("debias.bits._CHUNK", 250)
     rng = np.random.default_rng(32)
     for n in range(10):
@@ -427,7 +428,7 @@ def test_csv_chunk_seams(monkeypatch):
 def test_csv_mostly_repr_fallback(monkeypatch, tmp_path):
     # p0 = 1e-30 puts every row but one far below the integer route's range
     # (down to 0.0 by underflow), so repr writes them, in one batch per
-    # 4-row chunk; written to a path and to an open text file
+    # 2-row chunk; written to a path and to an open text file
     monkeypatch.setattr("debias.bits._CHUNK", 250)
     table = exact_source_dist(ConstantSource(1e-30), 12)
     want = _oracle_csv(table).encode()

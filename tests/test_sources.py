@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from debias import (BitString, ConstantSource, DriftParams, DriftTrace,
                     ValidationError, adversarial_trace, normalized_dist, sample,
                     sample_symbols, validate_trace)
 from debias.sources import _BLOCK as BLOCK
-from debias.sources import PAIR_KEYS, load_markov_table, load_pair_dists
+from debias.sources import PAIR_KEYS, _save_offsets, load_markov_table, load_pair_dists
 from string_oracles import trace_text
 
 
@@ -454,6 +456,29 @@ def test_trace_save_matches_repr_oracle(monkeypatch, tmp_path):
         trace = DriftTrace(eps)
         trace.save(tmp_path / "t.txt")
         assert (tmp_path / "t.txt").read_bytes() == trace_text(trace).encode()
+
+
+def test_trace_writer_memory_is_per_block():
+    # a 10^6-offset walk (8 MB of offsets, over 20 MB of text) is written a
+    # block at a time: the writer peaks below 4 MiB of new allocations
+    _, trace = sample(DriftingSource(DriftParams(0.55, 0.05, 1e-4), trajectory="walk"),
+                      10**6, seed=17)
+
+    class Sink:
+        size = 0
+
+        def write(self, data):
+            self.size += len(data)
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        _save_offsets(sink, trace.epsilons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 20 * 10**6
+    assert peak < 4 << 20
 
 
 def test_trace_save_mostly_repr_fallback_to_an_open_file(monkeypatch, tmp_path):

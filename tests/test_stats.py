@@ -64,8 +64,8 @@ def test_borel_report_deviations():
 
 
 def test_borel_csv_and_table_match_oracles(monkeypatch, tmp_path):
-    # 500-byte chunks hold 2 or 3 CSV rows and 4 table lines, so seams fall
-    # inside every report's CSV rows from m = 2 up and table from m = 3 up;
+    # 500-byte chunks hold 2 or 3 CSV rows and 3 table lines, so seams fall
+    # inside every report's CSV rows and table from m = 2 up;
     # from m = 9 the block column is wider than its 8-character header and
     # has no padding
     monkeypatch.setattr("debias.bits._CHUNK", 500)
