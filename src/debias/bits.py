@@ -10,7 +10,8 @@ Two on-disk formats are supported:
   packed MSB-first, pad bits in the final byte zeroed and nothing after it.
   The length prefix makes lengths that are not a multiple of 8 unambiguous.
 
-Every text file the package writes goes through :func:`_write_rows`, which
+Every bit file the package writes goes through :func:`_write_bits`, a
+piece at a time.  Every text file goes through :func:`_write_rows`, which
 lays a block of lines out as one buffer of NUL-padded 4-byte groups, drops
 the padding with one ``translate`` and writes ASCII bytes (``str`` only to
 an open text file).  It prints every float field as ``repr`` does, the
@@ -224,17 +225,6 @@ def _lay(cells, rows: int) -> bytearray:
     for at, text in texts:
         out[:, 4 * at:4 * at + text.shape[-1]] = text
     return buf
-
-
-def _repr_floats(x) -> np.ndarray:
-    """``repr(float(v))`` of each value of the float64 array ``x``, as one
-    NUL-padded row of ``_FIELD`` bytes each."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    text = _lay([x], len(x))
-    width = len(text) // max(len(x), 1)
-    out = np.zeros((len(x), _FIELD), np.uint8)
-    out[:, :width] = np.frombuffer(text, np.uint8).reshape(len(x), width)
-    return out
 
 
 _SPEC = re.compile(r"(\{\}|%[^a-z]*[a-z])")
@@ -483,20 +473,29 @@ def parse_bits(data: bytes, fmt: str) -> BitString:
 
 def serialize_bits(x: BitString, fmt: str) -> bytes:
     """Encode ``x`` in the given format; inverse of :func:`parse_bits`."""
-    return _header(len(x), fmt) + _payload(x._b, fmt)
+    out = io.BytesIO()
+    _write_bits(out, len(x), [x.to_array()], fmt)
+    return out.getvalue()
 
 
-def _header(n: int, fmt: str) -> bytes:
-    """What a file of n bits starts with: the packed length, or nothing."""
+def _write_bits(file, n: int, pieces, fmt: str) -> None:
+    """Write a file of n bits in ``fmt`` to the open binary ``file``: the
+    packed length, if any, then the 0/1 ``uint8`` arrays ``pieces``, n bits
+    in all, encoded as they come.  A packed byte takes 8 bits, so a piece's
+    last ``len % 8`` bits wait for the next piece, as a copy (a producer may
+    reuse its buffer); the last byte's pad bits are zero."""
     if fmt not in FORMATS:
         raise ValidationError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    return struct.pack("<Q", n) if fmt == "packed" else b""
-
-
-def _payload(bits: bytes, fmt: str) -> bytes:
-    """The 0/1 bytes ``bits`` encoded in a format :func:`_header` accepted.
-    A file may be written a piece at a time: every packed piece but the
-    last holds a multiple of 8 bits."""
     if fmt == "ascii":
-        return bits.translate(_ENCODE)
-    return np.packbits(np.frombuffer(bits, np.uint8), bitorder="big").tobytes()
+        for p in pieces:
+            file.write(p + np.uint8(ord("0")))
+        return
+    file.write(struct.pack("<Q", n))
+    carry = np.empty(0, np.uint8)
+    for p in pieces:
+        if len(carry):
+            p = np.concatenate([carry, p])
+        cut = len(p) & ~7
+        file.write(np.packbits(p[:cut], bitorder="big"))
+        carry = p[cut:].copy()
+    file.write(np.packbits(carry, bitorder="big"))

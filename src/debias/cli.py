@@ -1,10 +1,9 @@
 """Command-line front end.  Every subcommand is a thin shell over the library;
 no numeric logic lives here.
 
-The parser is built once per process (`build_parser` is cached), with the
-arguments of only the subcommands a process runs, so repeated in-process
-calls of `run` only parse; subcommand ``x`` runs the module global
-``cmd_x``, looked up at call time.
+The parser is built once per process (`build_parser` is cached), with every
+subcommand's arguments, so repeated in-process calls of `run` only parse;
+subcommand ``x`` runs the module global ``cmd_x``, looked up at call time.
 
 At module level this imports only ``errors`` and the standard library; each
 command imports the modules it runs when it is first called, so ``tv`` and
@@ -109,20 +108,23 @@ def cmd_generate(args) -> int:
     """Write the bits, and the trace if asked, chunk by chunk as they are
     drawn; everything is checked before either file is opened."""
     from . import sources
-    from .bits import _header, _payload
+    from .bits import _write_bits
     spec = _source_from_args(args)
     if args.trace_out and not isinstance(spec, sources.DriftingSource):
         raise ValidationError(f"{args.source} source has no drift trace to write")
     if args.trace_out and _same_file(args.out, args.trace_out):
         raise ValidationError(f"-o and --trace-out name one file: {args.trace_out}")
     chunks = sources._chunks(spec, args.n, args.seed)
+
+    def bits(trace):
+        for b, eps in chunks:
+            if trace is not None:
+                sources._save_offsets(trace, eps)
+            yield b
+
     with open(args.out, "wb") as f, \
             (open(args.trace_out, "wb") if args.trace_out else nullcontext()) as t:
-        f.write(_header(args.n, args.format))
-        for bits, eps in chunks:
-            f.write(_payload(bits.tobytes(), args.format))
-            if t is not None:
-                sources._save_offsets(t, eps)
+        _write_bits(f, args.n, bits(t), args.format)
     return 0
 
 
@@ -130,13 +132,11 @@ def cmd_normalize(args) -> int:
     """Write the output chunk by chunk as the normalization yields it; the
     input is read whole, and the method checked before the file is opened."""
     from . import normalize
-    from .bits import _header, _payload
+    from .bits import _write_bits
     n_out, chunks = normalize._chunks(_read_bits(args.input, args.format), args.method,
                                       args.block)
     with open(args.out, "wb") as f:
-        f.write(_header(n_out, args.format))
-        for bits in chunks:
-            f.write(_payload(bits.tobytes(), args.format))
+        _write_bits(f, n_out, chunks, args.format)
     return 0
 
 
@@ -325,33 +325,21 @@ _COMMANDS = {
 
 
 @functools.lru_cache(maxsize=None)
-def _subparsers():
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process with every subcommand's arguments."""
     ap = argparse.ArgumentParser(
         prog="debias",
         description="Bit-source generation, von Neumann-style un-biasing, and "
                     "exact distribution/bound analysis.")
     sub = ap.add_subparsers(dest="command", required=True)
-    return ap, {name: sub.add_parser(name, help=h) for name, (h, _) in _COMMANDS.items()}
-
-
-@functools.lru_cache(maxsize=None)
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser, one per process.  Each subcommand's arguments are added
-    the first time that subcommand is asked for; the top level lists them
-    all without building them."""
-    ap, subs = _subparsers()
-    if command is not None:
-        _COMMANDS[command][1](subs[command])
+    for name, (help_line, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_line))
     return ap
 
 
 def run(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the top level takes no option with a value, so the first word that is
-    # no option names the subcommand
-    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = build_parser(command if command in _COMMANDS else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

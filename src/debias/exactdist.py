@@ -154,7 +154,7 @@ def normalized_dist(spec: SourceSpec, n: int, m: int) -> DistributionTable:
     """
     from .sources import MarkovSource
     n = _check_enum_guard(n)
-    m = _integer("m", m, 1, n // 2)
+    m = _integer("m", m, 1, n // 2, f"n // 2 = {n // 2}")
     # k is known before the masses are built, so a refused call builds none
     k = spec.k if isinstance(spec, MarkovSource) else 0
     if not _enumerable(n, k, m):

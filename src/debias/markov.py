@@ -52,7 +52,7 @@ class MarkovExperiment:
         n = _integer("n", self.n, 2)
         _integer("n * samples", n * samples, 1, MAX_MARKOV_WORK,
                  f"MAX_MARKOV_WORK = {MAX_MARKOV_WORK}")
-        _integer("m", self.m, 1, n // 2)
+        _integer("m", self.m, 1, n // 2, f"n // 2 = {n // 2}")
         _check_enum_guard(self.m, "m")  # the 2^m-entry frequency table
 
 

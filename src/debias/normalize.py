@@ -7,9 +7,10 @@ output.  The parity method XORs disjoint fixed-size blocks.  All operations
 here are pure.
 
 Each of the three methods has one route, :func:`_chunks`, which yields its
-output in pieces of about ``_OUT`` bits; ``normalize`` writes them as they
-come, and ``vn_normalize``, ``peres_normalize`` and ``parity_normalize``
-return their concatenation.  The input is held whole.
+output in pieces of at most ``_OUT`` bits; ``normalize`` hands them to
+``bits._write_bits`` as they come, and ``vn_normalize``, ``peres_normalize``
+and ``parity_normalize`` return their concatenation.  The input is held
+whole.
 """
 
 from __future__ import annotations
@@ -103,9 +104,9 @@ def _joined(x: BitString, method: str, block: int = 2) -> BitString:
 def _chunks(x: BitString, method: str, block: int = 2):
     """``(n_out, chunks)``: the output length of ``x`` normalized by
     ``method`` ("vn", "peres", or "parity" over ``block``-bit groups), and
-    an iterator over that output as 0/1 ``uint8`` arrays whose lengths are
-    multiples of 8 but for the last.  The arguments are checked, and the
-    Peres levels run, before this returns."""
+    an iterator over that output as 0/1 ``uint8`` arrays of at most
+    ``_OUT`` bits, any of them possibly empty.  The arguments are checked,
+    and the Peres levels run, before this returns."""
     arr = x.to_array()
     if method == "vn":
         pairs = len(arr) // 2
@@ -122,22 +123,7 @@ def _chunks(x: BitString, method: str, block: int = 2):
             for lo in range(0, n_out, _OUT))
     else:
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
-    return int(n_out), _bytewise(pieces)
-
-
-def _bytewise(pieces):
-    """The concatenation of ``pieces``, re-cut so that every piece but the
-    last holds a multiple of 8 bits (an empty input yields nothing)."""
-    carry = np.empty(0, np.uint8)
-    for p in pieces:
-        if len(carry):
-            p = np.concatenate([carry, p])
-        cut = len(p) & ~7
-        if cut:
-            yield p[:cut]
-        carry = p[cut:]
-    if len(carry):
-        yield carry
+    return int(n_out), pieces
 
 
 def _pair_pass(data: np.ndarray, starts: np.ndarray, bits: np.ndarray, n_out: int):

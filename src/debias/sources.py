@@ -37,8 +37,8 @@ _K_LIMIT = f"MAX_MARKOV_K = {MAX_MARKOV_K}"
 # draws per lane of the speculative pass in the walk and the Markov sampler
 _BLOCK = 1024
 
-# bit positions per chunk of a run: 2 MiB per float64 array.  A multiple of 8,
-# so every chunk but the last packs to whole bytes, and of _BLOCK; the lockstep
+# bit positions per chunk of a run: 2 MiB per float64 array.  Even, so that a
+# pairwise chunk holds whole pairs, and a multiple of _BLOCK; the lockstep
 # passes take about _BLOCK Python-level steps per chunk, which stay cheap
 # against the chunk's array work only at this size or more
 _STREAM = 1 << 18
@@ -424,17 +424,6 @@ def _shift_in(h: int, bits: np.ndarray, mask: int) -> int:
     return h
 
 
-def _constant_chunks(p0: float, n: int, rng):
-    u = np.empty(min(n, _SUB))
-    bits = np.empty(min(n, _STREAM), dtype=np.uint8)
-    for lo, hi in _spans(n):
-        for s in range(0, hi - lo, _SUB):
-            m = min(_SUB, hi - lo - s)
-            rng.random(out=u[:m])
-            np.greater_equal(u[:m], p0, out=bits[s:s + m])
-        yield bits[:hi - lo], None
-
-
 def _walk_chunks(params: DriftParams, n: int, rng):
     """The offsets of an n-bit walk, one array per chunk: eps_1 = 0, then one
     step uniform in [-delta, delta] from ``rng`` per offset.  Each chunk's
@@ -458,22 +447,16 @@ def _walk_chunks(params: DriftParams, n: int, rng):
         w[0] = w[s]
 
 
-def _drift_chunks(spec: DriftingSource, n: int, seed: int):
-    draws = np.random.default_rng(seed)
-    if spec.trajectory == "walk":
-        # the walk's n - 1 steps come first in the seed's stream, then one
-        # draw per bit: a second generator skips the steps to reach the draws
-        offsets = _walk_chunks(spec.params, n, np.random.default_rng(seed))
-        draws.bit_generator.advance(max(n - 1, 0))
-    else:
-        offsets = (spec._offsets(lo, hi) for lo, hi in _spans(n))
-    # a chunk's zero-probabilities and draws, _SUB at a time, in order
+def _bernoulli_chunks(p0: float, offsets, n: int, draws):
+    """Bit i is 1 iff uniform draw i from ``draws`` >= p0 - eps_i, the
+    offsets coming one array per chunk from ``offsets``; each chunk's
+    zero-probabilities and draws are made ``_SUB`` at a time, in order."""
     u, q0 = np.empty((2, min(n, _SUB)))
     bits = np.empty(min(n, _STREAM), dtype=np.uint8)
     for eps in offsets:
         for lo in range(0, len(eps), _SUB):
             m = min(_SUB, len(eps) - lo)
-            np.subtract(spec.params.p0, eps[lo:lo + m], out=q0[:m])
+            np.subtract(p0, eps[lo:lo + m], out=q0[:m])
             draws.random(out=u[:m])
             np.greater_equal(u[:m], q0[:m], out=bits[lo:lo + m])
         yield bits[:len(eps)], eps
@@ -576,21 +559,33 @@ def _chunks(spec: SourceSpec, n: int, seed: int):
     of ``_STREAM`` bits (the last may be shorter), each ``(bits, eps)``:
     the chunk's 0/1 ``uint8`` bits and, for a drifting source, its offsets
     (None for other sources).  Both are buffers the iterator reuses, so read
-    a chunk before asking for the next."""
+    a chunk before asking for the next.  Every source draws from one
+    ``default_rng(seed)``; a constant source is a drifting one whose offsets
+    are all zero."""
     n = _integer("n", n, 0)
     seed = _integer("seed", seed, 0)
+    draws = np.random.default_rng(seed)
     if isinstance(spec, ConstantSource):
-        return _constant_chunks(spec.p0, n, np.random.default_rng(seed))
+        # read-only zeros that take no memory: p0 - 0.0 == p0
+        zeros = (np.broadcast_to(0.0, (hi - lo,)) for lo, hi in _spans(n))
+        return ((bits, None) for bits, _ in _bernoulli_chunks(spec.p0, zeros, n, draws))
     if isinstance(spec, DriftingSource):
-        if spec.trajectory != "walk":
+        if spec.trajectory == "walk":
+            # the walk's n - 1 steps come first in the seed's stream, then one
+            # draw per bit: a second generator walks the steps, and the
+            # draws skip them
+            offsets = _walk_chunks(spec.params, n, np.random.default_rng(seed))
+            draws.bit_generator.advance(max(n - 1, 0))
+        else:
             spec._deterministic(n)
-        return _drift_chunks(spec, n, seed)
+            offsets = (spec._offsets(lo, hi) for lo, hi in _spans(n))
+        return _bernoulli_chunks(spec.params.p0, offsets, n, draws)
     if isinstance(spec, MarkovSource):
-        return _markov_chunks(spec, n, np.random.default_rng(seed))
+        return _markov_chunks(spec, n, draws)
     if isinstance(spec, PairwiseSource):
         if n % 2:
             raise ValidationError("pairwise source emits whole pairs; n must be even")
-        return _pairwise_chunks(spec, n, np.random.default_rng(seed))
+        return _pairwise_chunks(spec, n, draws)
     raise ValidationError(f"unknown source spec {spec!r}")
 
 

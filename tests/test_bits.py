@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debias import (BitFormatError, BitString, DriftingSource, DriftParams,
+from debias import (BitFormatError, BitString, ConstantSource, DriftingSource, DriftParams,
                     QaryString, ValidationError, parse_bits, sample, serialize_bits)
-from debias.bits import _E2, _repr_floats, _write_rows
+from debias.bits import _E2, _FIELD, _lay, _write_bits, _write_rows
+from debias.sources import _chunks
 from string_oracles import count_bits
 
 
@@ -199,6 +200,44 @@ def test_round_trip_million_bits():
         assert parse_bits(serialize_bits(x, fmt), fmt) == x
 
 
+def _written(n, pieces, fmt) -> bytes:
+    out = io.BytesIO()
+    _write_bits(out, n, pieces, fmt)
+    return out.getvalue()
+
+
+def test_write_bits_seams_match_the_joined_bits(monkeypatch):
+    # pieces of 0, 1, 7, 8 and 9 bits leave every carry of 0..7 bits at some
+    # seam; the second producer hands out one buffer and inverts it before
+    # it fills the next piece, so a carry that is no copy comes out wrong
+    rng = np.random.default_rng(21)
+    sizes = [0, 1, 7, 8, 9]
+    for order in (sizes, sizes[::-1], [9, 9, 9, 7, 0, 1, 1, 8, 0], [7] * 8):
+        pieces = [rng.integers(0, 2, k, dtype=np.uint8) for k in order]
+        whole = BitString.from_array(np.concatenate(pieces))
+
+        def reused():
+            buf = np.empty(max(order), np.uint8)
+            for p in pieces:
+                buf[:len(p)] = p
+                yield buf[:len(p)]
+                np.bitwise_xor(buf, 1, out=buf)
+
+        for fmt in ("ascii", "packed"):
+            want = serialize_bits(whole, fmt)
+            for producer in (iter(pieces), reused()):
+                got = _written(len(whole), producer, fmt)
+                assert got == want, (order, fmt)
+                assert parse_bits(got, fmt) == whole
+    # the sources' chunks, 10 bits each, in one reused buffer
+    monkeypatch.setattr("debias.sources._STREAM", 10)
+    for n in (0, 9, 10, 33):
+        bits = sample(ConstantSource(0.5), n, seed=n)[0]
+        for fmt in ("ascii", "packed"):
+            got = _written(n, (b for b, _ in _chunks(ConstantSource(0.5), n, n)), fmt)
+            assert got == serialize_bits(bits, fmt), (n, fmt)
+
+
 def test_qary_string():
     x = QaryString.from_letters("cabcb", "abc")
     assert x.to_letters("abc") == "cabcb"
@@ -219,6 +258,18 @@ def test_qary_string_copies_its_input():
     codes[0] = 2  # the caller's array stays writable
     view[1] = 0
     assert x == QaryString([0, 1, 2], 3) and not x.symbols.flags.writeable
+
+
+def _repr_floats(x) -> np.ndarray:
+    """``repr(float(v))`` of each value of the float64 array ``x``, as the
+    package's writer lays it out (:func:`_lay`), in one NUL-padded row of
+    ``_FIELD`` bytes each."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    text = _lay([x], len(x))
+    width = len(text) // max(len(x), 1)
+    out = np.zeros((len(x), _FIELD), np.uint8)
+    out[:, :width] = np.frombuffer(text, np.uint8).reshape(len(x), width)
+    return out
 
 
 def _repr_lines(x) -> list:

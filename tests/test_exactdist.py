@@ -200,10 +200,13 @@ def test_normalized_dist_pair_examples():
 
 
 def test_normalized_dist_guards():
-    with pytest.raises(ValidationError):
-        normalized_dist(ConstantSource(0.5), 4, 3)  # m > n/2
-    with pytest.raises(ValidationError):
-        normalized_dist(ConstantSource(0.5), 4, 0)
+    # n bits hold n // 2 pairs, so at most n // 2 output bits
+    for n, m in ((0, 1), (1, 1), (4, 3), (4, 27)):
+        with pytest.raises(ValidationError, match=rf"^m = {m} exceeds n // 2 = {n // 2}$"):
+            normalized_dist(ConstantSource(0.5), n, m)
+    for n in (0, 1, 4):
+        with pytest.raises(ValidationError, match=rf"\[1, n // 2 = {n // 2}\], got 0$"):
+            normalized_dist(ConstantSource(0.5), n, 0)
     degenerate = PairwiseSource([{"00": 0.5, "01": 0.0, "10": 0.0, "11": 0.5}])
     with pytest.raises(DegenerateSourceError):
         normalized_dist(degenerate, 2, 1)

@@ -87,8 +87,13 @@ def test_k_zero_matches_constant_distribution():
 
 
 def test_experiment_validation():
-    with pytest.raises(ValidationError):
-        MarkovExperiment(k=1, kappa=0.1, m=5, n=8, samples=100, seed=1)
+    for n, m in ((8, 5), (4, 3), (5, 3), (4, 27)):
+        with pytest.raises(ValidationError, match=rf"^m = {m} exceeds n // 2 = {n // 2}$"):
+            MarkovExperiment(k=1, kappa=0.1, m=m, n=n, samples=100, seed=1)
+    # a trial needs a pair: n = 0 and 1 are refused before m is read
+    for n in (0, 1):
+        with pytest.raises(ValidationError, match=rf"^n must be an integer >= 2, got {n}$"):
+            MarkovExperiment(k=1, kappa=0.1, m=1, n=n, samples=100, seed=1)
     with pytest.raises(ValidationError):
         MarkovExperiment(k=1, kappa=0.1, m=2, n=8, samples=0, seed=1)
     for k in (-1, 17):

@@ -277,8 +277,6 @@ def test_chunk_seams_match_whole_input_oracles(monkeypatch, size):
                 n_out, chunks = _chunks(x, method, block)
                 chunks = list(chunks)
                 assert n_out == len(want), (n, method)
-                assert all(len(c) % 8 == 0 for c in chunks[:-1]), (n, method)
-                assert all(len(c) for c in chunks)
                 got = np.concatenate(chunks) if chunks else np.zeros(0, np.uint8)
                 assert np.array_equal(got, want), (n, method, block)
             assert peres_normalize(x) == _peres_recursive(x)
