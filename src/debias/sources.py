@@ -34,13 +34,33 @@ PAIR_KEYS = ("00", "01", "10", "11")
 MAX_MARKOV_K = 16
 _K_LIMIT = f"MAX_MARKOV_K = {MAX_MARKOV_K}"
 
-# draws per lane of the speculative pass in the walk and the Markov sampler
+# steps per lane of the walk's lockstep pass, and draws per lane of the
+# Markov sampler's where its histories meet slowly
 _BLOCK = 1024
 
+# draws per lane of the Markov sampler's lockstep pass
+_LANE = 64
+
+# lanes that start wrong that the Markov sampler repairs one bit at a time
+# rather than in a vectorized pass, at most
+_FEW = 32
+
+# the walk takes the lockstep pass when more than this share of its blocks,
+# each summed from 0, reach a wall
+_WALLS = 0.75
+
+# steps per running sum of a walk with no clamp in sight, at most
+_WINDOW = 1 << 14
+
+# steps walked one at a time after a clamp, at most; a run of _SCALAR // 2
+# without a clamp ends them
+_SCALAR = 64
+
 # bit positions per chunk of a run: 2 MiB per float64 array.  Even, so that a
-# pairwise chunk holds whole pairs, and a multiple of _BLOCK; the lockstep
-# passes take about _BLOCK Python-level steps per chunk, which stay cheap
-# against the chunk's array work only at this size or more
+# pairwise chunk holds whole pairs, and a multiple of _BLOCK.  A lockstep
+# pass takes _LANE or _BLOCK Python-level steps per chunk, each an array
+# operation over the chunk's lanes, which stay cheap against the chunk's
+# array work only at this size or more
 _STREAM = 1 << 18
 
 # draws per sub-block of a chunk of a constant, drifting or pairwise source:
@@ -278,19 +298,28 @@ def _walk(w: np.ndarray, guess: np.ndarray, beta: float) -> None:
     recurrence one step at a time.  ``guess`` is a (lanes, _BLOCK + 1)
     scratch buffer and ``len(w) == lanes * _BLOCK + 1``.
 
-    The steps are cut into blocks of ``_BLOCK``, and one lockstep pass walks
-    block 0 from the true start and every other block from a guessed start
-    of 0.  Those blocks are then repaired in order from the true start.  The
-    step map is monotone and deterministic, so once the true walk meets the
-    guessed one the rest of the block is already right; until then the walk
-    is a running sum from the true state (``np.cumsum`` adds left to right,
-    as the loop did), restarted after each clamp.  A clamp can make the two
-    meet, so a walk that clamps often is repaired in few steps, and one that
-    rarely clamps needs few restarts.
+    Between clamps the walk is a running sum (``np.cumsum`` adds left to
+    right, as the loop did).  One ``np.cumsum`` along the rows of ``guess``
+    first sums each block of ``_BLOCK`` steps from 0.  A block whose sum
+    never reaches a wall never clamps, so a walk guessed from 0 there
+    cannot meet the true walk from another start.  Unless more than a share
+    ``_WALLS`` of the blocks reach a wall, the guesses are dropped and the
+    walk runs from the true start through the chunk (:func:`_walk_run`).
+    Otherwise one lockstep pass walks block 0 from the true start and every
+    other block from a guessed start of 0, and the blocks are repaired in
+    order from the true start.  The step map is monotone and deterministic,
+    so once the true walk meets the guessed one the rest of the block is
+    already right; a walk that clamps often meets its guess in few steps.
     """
     lanes = len(guess)
-    # a running sum from offset i first writes it to w[i]
     steps = w[1:].reshape(lanes, _BLOCK)
+    np.cumsum(steps, axis=1, out=guess[:, 1:])
+    reach = (guess[:, 1:].max(axis=1) >= beta) | (guess[:, 1:].min(axis=1) <= -beta)
+    if np.count_nonzero(reach) <= _WALLS * lanes:
+        flat = guess.reshape(-1)[:len(w)]
+        flat[:] = w  # the steps, kept while w takes the walk
+        _walk_run(w, flat, float(w[0]), beta)
+        return
     # guess[j, t] is the offset after j * _BLOCK + t steps, walked from guess[j, 0]
     guess[:, 0] = 0.0
     guess[0, 0] = w[0]
@@ -302,28 +331,70 @@ def _walk(w: np.ndarray, guess: np.ndarray, beta: float) -> None:
         guess[:, t + 1] = nxt
     # block 0 is already right; block j starts at block j-1's end
     for j in range(1, lanes):
-        row = guess[j]
-        pattern = row.view(np.int64)  # compared bit for bit, signed zeros too
-        run = w[j * _BLOCK:(j + 1) * _BLOCK + 1]
-        e, t = guess[j - 1, _BLOCK], 0
-        while e.view(np.int64) != pattern[t]:
-            row[t] = e
-            if t == _BLOCK:
-                break
-            run[t] = e
-            sums = np.cumsum(run[t:])[1:]
-            # the sums are the walk up to the first clamp or meeting
-            stop = (np.abs(sums) >= beta) | (sums.view(np.int64) == pattern[t + 1:])
-            c = int(np.argmax(stop))
-            if not stop[c]:
-                row[t + 1:] = sums
-                break
-            row[t + 1:t + 1 + c] = sums[:c]
-            t += c + 1
-            e = np.float64(min(beta, max(-beta, float(sums[c]))))
+        _walk_run(guess[j], w[j * _BLOCK:(j + 1) * _BLOCK + 1], float(guess[j - 1, _BLOCK]),
+                  beta, meet=True)
     # every step is used, so w takes the walk
     w[:-1].reshape(lanes, _BLOCK)[:] = guess[:, :-1]
     w[-1] = guess[-1, -1]
+
+
+def _same(a: float, b: float) -> bool:
+    """``a`` and ``b`` are the same float, signed zeros apart."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _walk_run(out: np.ndarray, steps: np.ndarray, e: float, beta: float,
+              meet: bool = False) -> None:
+    """out[i] = the offset after i of the steps steps[1], steps[2], ...,
+    walked from out[0] = e; steps[i] is overwritten once offset i is known.
+    With ``meet``, ``out`` holds a guessed walk on entry, and the run stops
+    where it meets that walk bit for bit, at a clamp or in the steps walked
+    one at a time after one: the rest of ``out`` is then already right.
+
+    The walk is a running sum up to its next clamp, taken over windows of
+    ``_BLOCK`` steps that double, up to ``_WINDOW``, while no clamp comes.
+    Clamps come in runs at a wall, so after one the next ``_SCALAR`` steps
+    at most are walked as Python floats, until ``_SCALAR // 2`` in a row do
+    not clamp.
+    """
+    n, t, m = len(out) - 1, 0, _BLOCK
+    out[0] = e
+    while t < n:
+        # out[t] == e is the walk after t steps: a running sum up to the
+        # next clamp (with ``meet``, out holds the guess beyond t)
+        m = min(m, n - t)
+        steps[t] = e
+        sums = np.cumsum(steps[t:t + m + 1], out=None if meet else out[t:t + m + 1])[1:]
+        hit = np.abs(sums) >= beta
+        c = int(np.argmax(hit))
+        if not hit[c]:
+            if meet:
+                out[t + 1:t + m + 1] = sums
+            t, e, m = t + m, float(sums[-1]), min(2 * m, _WINDOW)
+            continue
+        if meet:
+            out[t + 1:t + 1 + c] = sums[:c]
+        t, e = t + c + 1, beta if sums[c] >= beta else -beta
+        if meet and _same(e, float(out[t])):
+            return
+        out[t] = e
+        # clamps come in runs at a wall: walk the next steps as Python floats
+        walked, quiet = [], 0
+        guessed = out[t + 1:t + 1 + _SCALAR].tolist() if meet else ()
+        for s in steps[t + 1:t + 1 + _SCALAR].tolist():
+            x = e + s
+            if -beta < x < beta:
+                e, quiet = x, quiet + 1
+            else:
+                e, quiet = beta if x >= beta else -beta, 0
+            if meet and _same(e, guessed[len(walked)]):
+                out[t + 1:t + 1 + len(walked)] = walked
+                return
+            walked.append(e)
+            if quiet == _SCALAR // 2:
+                break
+        out[t + 1:t + 1 + len(walked)] = walked
+        t, m = t + len(walked), _BLOCK
 
 
 @dataclass(frozen=True)
@@ -463,68 +534,146 @@ def _bernoulli_chunks(p0: float, offsets, n: int, draws):
 
 
 def _markov_bits(draws: np.ndarray, h: int, cond: np.ndarray, cl: list,
-                 bits: np.ndarray, hist: np.ndarray) -> None:
+                 bits: np.ndarray, hist: np.ndarray) -> int:
     """bits[j, t] = 1 iff draws[j, t] >= cond[the k-bit history before it],
     the draws read row by row after the history ``h``; bit-identical to a
     loop over the draws.  ``cl`` is ``cond`` as a list, and ``hist`` a
-    (rows, _BLOCK + 1) uint16 scratch buffer (k <= 16 fits).
+    (lane + 1, rows) uint16 scratch buffer (k <= 16 fits) for (rows, lane)
+    draws.
 
-    One lockstep pass runs block 0 from ``h`` and every other block from a
-    guessed history of 0.  Those blocks are then repaired in order from the
-    true history: once it equals the guessed one the rest of the block is
-    already right, and until then a scalar loop over Python lists advances
-    it.  The histories meet once k bits in a row come out the same on both
-    sides.
+    One lockstep pass runs lane 0 from ``h`` and every other lane from a
+    guessed history of 0.  Lane j's true start is lane j - 1's end, and
+    once a lane's history equals the guessed one the rest of the lane is
+    already right: the histories meet once k bits in a row come out the
+    same on both sides.  Every lane that starts wrong is run again from the
+    end before it, all at once, one draw at a time, and leaves the pass
+    when it meets its guess; a lane that never meets has a new end, so its
+    successor goes into the next pass.  Once a pass leaves many lanes unmet
+    (a deterministic table never meets) or few lanes start wrong, the rest
+    is drawn one bit at a time (:func:`_markov_sweep`).
+
+    Returns ``lane``, or ``_BLOCK`` if the first pass shows histories that
+    meet, but mostly not within ``lane`` draws: the bits are then not done,
+    and the chunk is to be drawn again in lanes of ``_BLOCK``.
     """
+    rows, lane = draws.shape
     mask = len(cl) - 1
-    # hist[j, t] is the guessed history before draw t of block j
-    hist[:, 0] = 0
+    # hist[t, j] is the guessed history before draw t of lane j
+    hist[0] = 0
     hist[0, 0] = h
-    for t in range(_BLOCK):
-        bits[:, t] = draws[:, t] >= cond[hist[:, t]]
-        hist[:, t + 1] = ((hist[:, t] << 1) | bits[:, t]) & mask
-    for j in range(len(draws)):
-        if h != hist[j, 0]:
-            # the histories mostly meet within k + a few bits: list a prefix
-            ul, hl, fixed = draws[j, :64].tolist(), hist[j, :64].tolist(), bytearray()
-            for t in range(_BLOCK):
-                if t == len(ul):
-                    ul, hl = draws[j].tolist(), hist[j].tolist()
-                if h == hl[t]:
+    p, one, nxt = np.empty(rows), np.empty(rows, dtype=bool), np.empty(rows, dtype=np.uint16)
+    for t in range(lane):
+        np.take(cond, hist[t], out=p)
+        np.greater_equal(draws[:, t], p, out=one)
+        bits[:, t] = one
+        np.left_shift(hist[t], 1, out=nxt)
+        nxt |= one
+        np.bitwise_and(nxt, mask, out=hist[t + 1])
+    # the lanes that start wrong
+    q = np.flatnonzero(hist[0, 1:] != hist[lane, :-1]) + 1
+    u, b, g = draws.reshape(-1), bits.reshape(-1), hist.reshape(-1)
+    first = True
+    while len(q) > _FEW:
+        # each lane's next draw u[i] and the guessed history g[at] before it
+        i, at = q * lane, q.copy()
+        hc = hist[lane, q - 1]
+        g[at] = hc
+        for _ in range(lane):
+            up = u[i] >= cond[hc]
+            b[i] = up
+            hc = ((hc << 1) | up) & mask
+            i += 1
+            at += rows
+            same = hc == g[at]
+            g[at] = hc
+            if same.any():
+                i, at, hc = i[~same], at[~same], hc[~same]
+                if not len(i):
                     break
-                bit = ul[t] >= cl[h]
-                fixed.append(bit)
-                h = ((h << 1) | bit) & mask
-            bits[j, :len(fixed)] = np.frombuffer(fixed, dtype=np.uint8)
-            if len(fixed) == _BLOCK:
-                continue  # never met: h is already the true history
-        h = int(hist[j, _BLOCK])
+        unmet = at - lane * rows
+        many = 2 * len(unmet) > len(q)
+        if many and first and 16 * (len(q) - len(unmet)) >= len(q) and lane < _BLOCK:
+            return _BLOCK
+        q = unmet[unmet < rows - 1] + 1
+        q = q[hist[0, q] != hist[lane, q - 1]]
+        if many:
+            break
+        first = False
+    if len(q):
+        _markov_sweep(draws, int(hist[lane, q[0] - 1]), cl, bits, hist, q)
+    return lane
+
+
+def _markov_sweep(draws: np.ndarray, h: int, cl: list, bits: np.ndarray,
+                  hist: np.ndarray, wrong: np.ndarray) -> None:
+    """Finish the bits of lanes wrong[0], wrong[0] + 1, ... one at a time
+    from the true history ``h`` before lane wrong[0].  Each lane is a walk
+    from its guessed start, and the lanes ``wrong`` are those that do not
+    start where the lane before ends.  A lane stops as soon as its history
+    meets the guessed one; the next lane to draw is then the next wrong one.
+    """
+    rows, lane = draws.shape
+    mask = len(cl) - 1
+    wrong = iter(wrong.tolist())
+    j, group = next(wrong), 1
+    while j < rows:
+        # lanes listed at a time: one after a meeting, more while none meets
+        group = min(group, rows - j)
+        ul, hl = draws[j:j + group].ravel().tolist(), hist[:, j:j + group].T.ravel().tolist()
+        out = bytearray(bits[j:j + group].tobytes())
+        met = None
+        for r in range(group):
+            # hl[i + r] is the guessed history before draw i
+            for i in range(r * lane, (r + 1) * lane):
+                if h == hl[i + r]:
+                    met = j + r
+                    break
+                if ul[i] >= cl[h]:
+                    out[i] = 1
+                    h = ((h << 1) | 1) & mask
+                else:
+                    out[i] = 0
+                    h = (h << 1) & mask
+            if met is not None:
+                break
+        bits[j:j + group] = np.frombuffer(out, dtype=np.uint8).reshape(group, lane)
+        if met is None:  # h is already the true history
+            j, group = j + group, min(2 * group, max(1, _BLOCK // lane))
+            continue
+        while j <= met:
+            j = next(wrong, rows)
+        h, group = int(hist[lane, j - 1]), 1
 
 
 def _markov_chunks(spec: MarkovSource, n: int, rng):
     """Bit i is 1 iff uniform draw i >= P(0 | the previous k bits), or >= p0
     for the first k bits of the run; the history carries over from chunk to
-    chunk."""
+    chunk.  A chunk's draws after its first k are cut into lanes of
+    ``_LANE``, or of ``_BLOCK`` from the chunk on which the histories are
+    seen to meet too slowly for short lanes (:func:`_markov_bits`)."""
     k, cond = spec.k, spec.cond_zero_probs()
     cl, mask = cond.tolist(), len(cond) - 1
-    lanes = -(-min(n, _STREAM) // _BLOCK)
     # the head's draws sit before the lanes, which may run past the chunk
-    u = np.zeros(k + lanes * _BLOCK)
+    rows = [(-(-min(n, _STREAM) // lane), lane) for lane in (_LANE, _BLOCK)]
+    u = np.zeros(k + max(r * lane for r, lane in rows))
     bits = np.empty(len(u), dtype=np.uint8)
-    hist = np.empty((lanes, _BLOCK + 1), dtype=np.uint16)
-    h = 0
+    hist = np.empty(max(r * (lane + 1) for r, lane in rows), dtype=np.uint16)
+    h, lane = 0, _LANE
     for lo, hi in _spans(n):
         m = hi - lo
         rng.random(out=u[:m])
         head = min(max(k - lo, 0), m)
         np.greater_equal(u[:head], spec.p0, out=bits[:head])
         h = _shift_in(h, bits[:head], mask)
-        rows = -(-(m - head) // _BLOCK)
-        if rows:
-            lane = slice(head, head + rows * _BLOCK)
-            _markov_bits(u[lane].reshape(rows, _BLOCK), h, cond, cl,
-                         bits[lane].reshape(rows, _BLOCK), hist[:rows])
-            h = _shift_in(h, bits[max(head, m - k):m], mask)
+        done = m == head
+        while not done:
+            rows = -(-(m - head) // lane)
+            lanes = slice(head, head + rows * lane)
+            nxt = _markov_bits(u[lanes].reshape(rows, lane), h, cond, cl,
+                               bits[lanes].reshape(rows, lane),
+                               hist[:rows * (lane + 1)].reshape(lane + 1, rows))
+            done, lane = nxt == lane, nxt
+        h = _shift_in(h, bits[max(head, m - k):m], mask)
         yield bits[:m], None
 
 

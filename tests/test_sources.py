@@ -7,6 +7,7 @@ from debias import (BitString, ConstantSource, DriftParams, DriftTrace,
                     DriftingSource, MarkovSource, PairwiseSource,
                     ValidationError, adversarial_trace, normalized_dist, sample,
                     sample_symbols, validate_trace)
+from debias import sources
 from debias.sources import _BLOCK as BLOCK
 from debias.sources import PAIR_KEYS, _save_offsets, load_markov_table, load_pair_dists
 from string_oracles import trace_text
@@ -380,10 +381,10 @@ def _pairwise_tiled(spec, n, rng):
 
 
 
-@pytest.mark.parametrize("delta", [0.0, 1e-4, 0.01, 0.05])
-def test_walk_matches_loop_oracle(delta):
-    # beta = 0.05: delta = beta clamps about every third step, delta = 1e-4
-    # almost never, and delta = 0 never moves
+WALK_DELTAS = [0.0, 1e-4, 1e-3, 3e-3, 0.01, 0.05]
+
+
+def _assert_walk_matches_loop(delta):
     spec = DriftingSource(DriftParams(0.55, 0.05, delta), trajectory="walk")
     for seed in (1, 2, 3):
         for n in (0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 10**5):
@@ -393,6 +394,39 @@ def test_walk_matches_loop_oracle(delta):
             assert trace.epsilons.tobytes() == want.epsilons.tobytes(), (seed, n)
             q0 = spec.params.p0 - want.epsilons
             assert bits.to_array().tobytes() == (rng.random(n) >= q0).astype(np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("delta", WALK_DELTAS)
+def test_walk_matches_loop_oracle(delta):
+    # beta = 0.05: delta = beta clamps about every third step, delta = 1e-4
+    # almost never, and delta = 0 never moves.  Up to 3e-3 few blocks summed
+    # from 0 reach a wall and the lockstep pass is skipped; from 0.01 every
+    # block does, and the blocks are repaired from their guesses
+    _assert_walk_matches_loop(delta)
+
+
+@pytest.mark.parametrize("scalar", [0, 3])
+@pytest.mark.parametrize("delta", WALK_DELTAS)
+def test_walk_steps_after_a_clamp_match_loop_oracle(monkeypatch, delta, scalar):
+    # steps walked one at a time after a clamp: none, or a few (the run
+    # ends after one step without a clamp) instead of the default 64
+    monkeypatch.setattr("debias.sources._SCALAR", scalar)
+    _assert_walk_matches_loop(delta)
+
+
+@pytest.mark.parametrize("walls", [-1.0, 1.0], ids=["lockstep", "no-guesses"])
+@pytest.mark.parametrize("delta", [1e-3, 0.01])
+def test_walk_paths_match_loop_oracle(monkeypatch, delta, walls):
+    # the share of blocks that reach a wall picks the path: force each one
+    # where the other would be taken, so the lockstep pass repairs blocks
+    # that never clamp and the walk from the true start meets many clamps
+    monkeypatch.setattr("debias.sources._WALLS", walls)
+    spec = DriftingSource(DriftParams(0.55, 0.05, delta), trajectory="walk")
+    for seed in (1, 2):
+        for n in (BLOCK + 1, 3 * BLOCK + 7, 10**5):
+            _, trace = sample(spec, n, seed)
+            want = _walk_loop(spec.params, n, np.random.default_rng(seed))
+            assert trace.epsilons.tobytes() == want.epsilons.tobytes(), (seed, n)
 
 
 def _markov_specs():
@@ -408,20 +442,39 @@ def _markov_specs():
     yield MarkovSource(k=3, kappa=0.5, p0=0.5,
                        table={format(h, "03b"): float(v)
                               for h, v in enumerate([0, 1, 1, 0, 1, 0, 0, 1])})
+    # two histories part on about 3 draws in 10 and meet only after 12 equal
+    # bits in a row: a guess meets the true history after about 200 draws
+    vals = rng.uniform(0.05, 0.95, size=1 << 12)
+    yield MarkovSource(k=12, kappa=0.45, p0=0.5,
+                       table={format(h, "012b"): float(v) for h, v in enumerate(vals)})
 
 
 def _markov_id(spec):
     return f"k{spec.k}" + ("-deterministic" if spec.kappa == 0.5 else "")
 
 
-@pytest.mark.parametrize("spec", list(_markov_specs()), ids=_markov_id)
-def test_markov_matches_loop_oracle(spec):
+def _assert_markov_matches_loop(spec):
     k = spec.k
     for seed in (1, 2, 3):
         for n in sorted({0, 1, k, k + 1, BLOCK - 1, BLOCK, BLOCK + k, BLOCK + k + 1,
                          3 * BLOCK + 5, 10**5}):
             bits, _ = sample(spec, n, seed)
             assert bits == _markov_loop(spec, n, np.random.default_rng(seed)), (seed, n)
+
+
+@pytest.mark.parametrize("spec", list(_markov_specs()), ids=_markov_id)
+def test_markov_matches_loop_oracle(spec):
+    _assert_markov_matches_loop(spec)
+
+
+@pytest.mark.parametrize("lane", [1, 3])
+@pytest.mark.parametrize("spec", list(_markov_specs()), ids=_markov_id)
+def test_markov_lanes_match_loop_oracle(monkeypatch, spec, lane):
+    # lanes of one draw or of a few instead of the default _LANE: many lanes
+    # leave a pass unmet and queue their successors, or the histories meet
+    # too slowly for such lanes and the chunk is drawn in lanes of _BLOCK
+    monkeypatch.setattr("debias.sources._LANE", lane)
+    _assert_markov_matches_loop(spec)
 
 
 def test_pairwise_matches_tiled_oracle():
@@ -481,6 +534,27 @@ def test_trace_writer_memory_is_per_block():
     assert peak < 4 << 20
 
 
+@pytest.mark.parametrize("spec, limit_mib", [
+    (DriftingSource(DriftParams(0.55, 0.05, 1e-4), trajectory="walk"), 5.13 + 0.75),
+    (DriftingSource(DriftParams(0.55, 0.05, 0.05), trajectory="walk"), 4.40 + 0.75),
+    (next(s for s in _markov_specs() if s.k == 3), 2.76 + 0.75),
+    (next(s for s in _markov_specs() if s.k == 16), 4.76 + 0.75),
+], ids=["walk-delta1e-4", "walk-delta0.05", "markov-k3", "markov-k16"])
+def test_chunk_memory_does_not_grow_per_chunk(spec, limit_mib):
+    # a 10^6-bit run is four chunks; each reuses the buffers of the one
+    # before, so a per-chunk copy of the draws (2 MiB) or a second buffer
+    # of guesses shows.  The limits are the peaks measured before the
+    # Markov lanes shrank to _LANE draws, plus 0.75 MiB
+    tracemalloc.start()
+    try:
+        for _ in sources._chunks(spec, 10**6, 17):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20, peak / 2**20
+
+
 def test_trace_save_mostly_repr_fallback_to_an_open_file(monkeypatch, tmp_path):
     # offsets near 1e-300 are outside the integer route and go to repr in one
     # batch per chunk; a few ordinary ones sit between them, across the
@@ -508,6 +582,8 @@ def _seam_lengths(stream):
 def _drift_specs():
     params = DriftParams(0.55, 0.05, 1e-4)
     yield DriftingSource(params, trajectory="walk")
+    for delta in (1e-3, 3e-3):  # runs of clamps at a wall, few blocks guessed
+        yield DriftingSource(DriftParams(0.55, 0.05, delta), trajectory="walk")
     yield DriftingSource(DriftParams(0.55, 0.05, 0.05), trajectory="walk")  # clamps often
     yield DriftingSource(params, trajectory="sine", period=3500.0)
     yield DriftingSource(params, trajectory="adversarial")
