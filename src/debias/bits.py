@@ -289,7 +289,9 @@ def _decode_ascii(data: bytes, skip: bytes = b"") -> bytes:
     dropped.  Raises BitFormatError at the first byte that is neither."""
     bits = data.translate(_DECODE, skip)
     if 2 in bits:
-        off = next(i for i, c in enumerate(data) if c not in b"01" + skip)
+        # the first byte left once the legal ones are deleted is the first
+        # bad one, so no earlier byte equals it
+        off = data.index(data.translate(None, b"01" + skip)[:1])
         raise BitFormatError(f"illegal character {chr(data[off])!r}", off)
     return bits
 

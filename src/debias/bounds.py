@@ -270,7 +270,12 @@ def calibrate_alpha(m: int, rho: float) -> float:
 
 def calibrate_delta(p0: float, beta: float, alpha: float) -> float:
     """Drift speed delta at which the worst-case asymmetry reaches alpha,
-    inverting the :func:`alpha_max` closed form for fixed p0 and beta."""
+    inverting the :func:`alpha_max` closed form for fixed p0 and beta.
+
+    A delta above beta lies outside the model, and :func:`alpha_max`
+    refuses it; it means that alpha is out of the drift's reach: every
+    speed the model admits (delta <= beta) meets the target, since
+    alpha_max(p0, beta, beta) < alpha."""
     _interval("p0", p0, 0, 1)
     p1 = 1.0 - p0
     _interval("beta", beta, 0, min(p0, p1), "[)")

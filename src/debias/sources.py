@@ -35,14 +35,14 @@ MAX_MARKOV_K = 16
 _K_LIMIT = f"MAX_MARKOV_K = {MAX_MARKOV_K}"
 
 # steps per lane of the walk's lockstep pass, and draws per lane of the
-# Markov sampler's where its histories meet slowly
+# Markov sampler's from the chunk after one whose histories meet slowly
 _BLOCK = 1024
 
 # draws per lane of the Markov sampler's lockstep pass
 _LANE = 64
 
-# lanes that start wrong that the Markov sampler repairs one bit at a time
-# rather than in a vectorized pass, at most
+# walkers that the Markov sampler leaves to its one-bit sweep rather than
+# step all at once, at most
 _FEW = 32
 
 # the walk takes the lockstep pass when more than this share of its blocks,
@@ -534,7 +534,7 @@ def _bernoulli_chunks(p0: float, offsets, n: int, draws):
 
 
 def _markov_bits(draws: np.ndarray, h: int, cond: np.ndarray, cl: list,
-                 bits: np.ndarray, hist: np.ndarray) -> int:
+                 bits: np.ndarray, hist: np.ndarray) -> bool:
     """bits[j, t] = 1 iff draws[j, t] >= cond[the k-bit history before it],
     the draws read row by row after the history ``h``; bit-identical to a
     loop over the draws.  ``cl`` is ``cond`` as a list, and ``hist`` a
@@ -545,16 +545,16 @@ def _markov_bits(draws: np.ndarray, h: int, cond: np.ndarray, cl: list,
     guessed history of 0.  Lane j's true start is lane j - 1's end, and
     once a lane's history equals the guessed one the rest of the lane is
     already right: the histories meet once k bits in a row come out the
-    same on both sides.  Every lane that starts wrong is run again from the
-    end before it, all at once, one draw at a time, and leaves the pass
-    when it meets its guess; a lane that never meets has a new end, so its
-    successor goes into the next pass.  Once a pass leaves many lanes unmet
-    (a deterministic table never meets) or few lanes start wrong, the rest
-    is drawn one bit at a time (:func:`_markov_sweep`).
+    same on both sides.  Each lane that starts wrong then gets a walker
+    from the end of the lane before.  The walkers draw at once, a lane
+    apart, so the first holds the true history; one unmet at the end of
+    its lane carries on into the next.  A met walker only redraws what is
+    stored, so met walkers are dropped once half have met.  Once few are
+    left, or fewer than 1/16 meet within a lane (a deterministic table
+    never meets), the rest is drawn bit by bit (:func:`_markov_sweep`).
 
-    Returns ``lane``, or ``_BLOCK`` if the first pass shows histories that
-    meet, but mostly not within ``lane`` draws: the bits are then not done,
-    and the chunk is to be drawn again in lanes of ``_BLOCK``.
+    Returns True if a lane left more than half of its walkers unmet before
+    the sweep: the histories meet, but mostly not within ``lane`` draws.
     """
     rows, lane = draws.shape
     mask = len(cl) - 1
@@ -569,14 +569,14 @@ def _markov_bits(draws: np.ndarray, h: int, cond: np.ndarray, cl: list,
         np.left_shift(hist[t], 1, out=nxt)
         nxt |= one
         np.bitwise_and(nxt, mask, out=hist[t + 1])
-    # the lanes that start wrong
-    q = np.flatnonzero(hist[0, 1:] != hist[lane, :-1]) + 1
     u, b, g = draws.reshape(-1), bits.reshape(-1), hist.reshape(-1)
-    first = True
-    while len(q) > _FEW:
-        # each lane's next draw u[i] and the guessed history g[at] before it
-        i, at = q * lane, q.copy()
-        hc = hist[lane, q - 1]
+    # a walker for each lane j that starts wrong: its next draw u[i], the
+    # guessed history g[at] before it and its own history hc
+    q = np.flatnonzero(hist[0, 1:] != hist[lane, :-1]) + 1
+    i, at, hc = q * lane, q, hist[lane, q - 1]
+    slow = False
+    while len(i) > _FEW:
+        live = len(i)
         g[at] = hc
         for _ in range(lane):
             up = u[i] >= cond[hc]
@@ -586,22 +586,21 @@ def _markov_bits(draws: np.ndarray, h: int, cond: np.ndarray, cl: list,
             at += rows
             same = hc == g[at]
             g[at] = hc
-            if same.any():
-                i, at, hc = i[~same], at[~same], hc[~same]
+            if 2 * np.count_nonzero(same) >= len(same):
+                i, at, hc, same = i[~same], at[~same], hc[~same], same[~same]
                 if not len(i):
                     break
-        unmet = at - lane * rows
-        many = 2 * len(unmet) > len(q)
-        if many and first and 16 * (len(q) - len(unmet)) >= len(q) and lane < _BLOCK:
-            return _BLOCK
-        q = unmet[unmet < rows - 1] + 1
-        q = q[hist[0, q] != hist[lane, q - 1]]
-        if many:
+        left = len(i) - int(np.count_nonzero(same))
+        # on into the next lane, unless it starts right or the chunk ends
+        at -= lane * rows - 1
+        on = ~same & (at < rows) & (hc != g[at])
+        i, at, hc = i[on], at[on], hc[on]
+        if 16 * (live - left) < live:
             break
-        first = False
-    if len(q):
-        _markov_sweep(draws, int(hist[lane, q[0] - 1]), cl, bits, hist, q)
-    return lane
+        slow |= 2 * left > live
+    if len(i):
+        _markov_sweep(draws, int(hc[0]), cl, bits, hist, at)
+    return slow
 
 
 def _markov_sweep(draws: np.ndarray, h: int, cl: list, bits: np.ndarray,
@@ -649,8 +648,9 @@ def _markov_chunks(spec: MarkovSource, n: int, rng):
     """Bit i is 1 iff uniform draw i >= P(0 | the previous k bits), or >= p0
     for the first k bits of the run; the history carries over from chunk to
     chunk.  A chunk's draws after its first k are cut into lanes of
-    ``_LANE``, or of ``_BLOCK`` from the chunk on which the histories are
-    seen to meet too slowly for short lanes (:func:`_markov_bits`)."""
+    ``_LANE``, or of ``_BLOCK`` from the chunk after one on which the
+    histories are seen to meet too slowly for short lanes; each chunk is
+    drawn once (:func:`_markov_bits`)."""
     k, cond = spec.k, spec.cond_zero_probs()
     cl, mask = cond.tolist(), len(cond) - 1
     # the head's draws sit before the lanes, which may run past the chunk
@@ -665,14 +665,13 @@ def _markov_chunks(spec: MarkovSource, n: int, rng):
         head = min(max(k - lo, 0), m)
         np.greater_equal(u[:head], spec.p0, out=bits[:head])
         h = _shift_in(h, bits[:head], mask)
-        done = m == head
-        while not done:
+        if m > head:
             rows = -(-(m - head) // lane)
             lanes = slice(head, head + rows * lane)
-            nxt = _markov_bits(u[lanes].reshape(rows, lane), h, cond, cl,
-                               bits[lanes].reshape(rows, lane),
-                               hist[:rows * (lane + 1)].reshape(lane + 1, rows))
-            done, lane = nxt == lane, nxt
+            if _markov_bits(u[lanes].reshape(rows, lane), h, cond, cl,
+                            bits[lanes].reshape(rows, lane),
+                            hist[:rows * (lane + 1)].reshape(lane + 1, rows)):
+                lane = _BLOCK
         h = _shift_in(h, bits[max(head, m - k):m], mask)
         yield bits[:m], None
 

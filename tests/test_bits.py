@@ -112,10 +112,23 @@ def test_to_array_is_a_read_only_shared_view():
 def test_parse_ascii():
     assert parse_bits(b"0110", "ascii") == BitString("0110")
     assert parse_bits(b" 01\n10 \t1", "ascii") == BitString("01101")
-    for data, offset in ((b"01x0", 2), (b"01 \t\xff1", 4)):
+    # a bad byte at the start, in the middle, at the end, after whitespace,
+    # non-ASCII, and repeated: the offset is its first one
+    for data, offset in ((b"x01", 0), (b"01x0", 2), (b"0110\n2", 5), (b"01 \t\xff1", 4),
+                         (b"0 1\n\xe9\xe9", 4), (b"01z1z", 2)):
         with pytest.raises(BitFormatError) as err:
             parse_bits(data, "ascii")
         assert err.value.offset == offset
+        assert str(err.value).startswith(f"illegal character {chr(data[offset])!r}")
+    big = b"01" * 500_000 + b"\n"
+    for at in (0, len(big) // 2, len(big) - 1):
+        with pytest.raises(BitFormatError) as err:
+            parse_bits(big[:at] + b"x" + big[at + 1:], "ascii")
+        assert err.value.offset == at
+    with pytest.raises(ValidationError, match="illegal bit character 'x' at position 2"):
+        BitString("01x")
+    with pytest.raises(ValidationError, match="illegal bit character 'é' at position 1"):
+        BitString("0é")
 
 
 def test_parse_packed():

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from debias import (BitString, ConstantSource, DriftingSource, DriftParams,
-                    MarkovExperiment, MarkovSource, PairwiseSource, borel_counts, bounds,
+                    MarkovExperiment, MarkovSource, PairwiseSource, ValidationError,
+                    borel_counts, bounds,
                     cli, empirical_block_dist, exact_source_dist, normalized_dist,
                     parity_normalize, parse_bits,
                     peres_normalize, run_markov_experiment, sample, serialize_bits,
@@ -47,6 +48,22 @@ def test_calibrate_output(capsys):
     delta = float(lines[1].split()[1])
     assert alpha == pytest.approx(0.2, abs=1e-8)
     assert delta == pytest.approx(bounds.calibrate_delta(0.5, 0.1, alpha), rel=1e-12)
+
+
+def test_calibrate_delta_above_beta_means_every_admitted_speed_meets_rho(capsys):
+    # rho = 0.3 at m = 2 allows alpha = 0.483, more than any speed within
+    # beta = 0.1 reaches: the printed delta lies past beta, where alpha_max
+    # does not apply, and alpha_max(p0, beta, beta) = 0.2 is below alpha
+    assert run(["calibrate", "--m", "2", "--rho", "0.3", "--p0", "0.5", "--beta", "0.1"]) == 0
+    out = capsys.readouterr().out.split()
+    assert out == ["alpha", "0.483239697391", "delta", "0.256771490192"]
+    alpha, delta = float(out[1]), float(out[3])
+    with pytest.raises(ValidationError, match=r"delta must lie in \[0,0.1\]"):
+        bounds.alpha_max(0.5, 0.1, delta)
+    top = bounds.alpha_max(0.5, 0.1, 0.1)
+    assert top == pytest.approx(0.2, rel=1e-12) and top < alpha
+    for d in np.linspace(0.0, 0.1, 11):
+        assert tv_bound_exact(2, bounds.alpha_max(0.5, 0.1, float(d))) <= 0.3
 
 
 def test_normalize_discards_equal_pairs(tmp_path):
@@ -343,6 +360,18 @@ def test_exit_codes(tmp_path, capsys):
       "-n", "8", "-o", "{out}", "--trace-out", "{out}"], "-o and --trace-out name one file"),
     (["dist", "--source", "constant", "--p0", "0.7", "-n", "1", "--m", "1", "-o", "{out}"],
      "m = 1 exceeds n // 2 = 0"),
+    (["generate", "--source", "constant", "-n", "8", "-o", "{out}"],
+     "constant source needs --p0"),
+    (["generate", "--source", "drifting", "--p0", "0.5", "--beta", "0.1", "-n", "8",
+      "-o", "{out}"], "drifting source needs --p0, --beta and --delta"),
+    (["generate", "--source", "markov", "--k", "1", "--kappa", "0.1", "--p0", "0.5",
+      "-n", "8", "-o", "{out}"], "markov source needs --k, --kappa, --p0 and --table"),
+    (["generate", "--source", "pairwise", "-n", "8", "-o", "{out}"],
+     "pairwise source needs --pairs"),
+    (["generate", "--source", "drifting", "--p0", "0.5", "--beta", "0.1", "--delta", "0.01",
+      "--trajectory", "fixed", "-n", "8", "-o", "{out}"], "fixed trajectory needs --trace-in"),
+    (["sweep", "--m-list", ",", "-o", "{out}"], "--m-list is empty"),
+    (["tv", "--method", "naive", "--m", "2", "--alpha", "1.5"], "alpha must lie in [0,1)"),
 ])
 def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     bits = tmp_path / "four.txt"

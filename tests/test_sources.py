@@ -9,6 +9,8 @@ from debias import (BitString, ConstantSource, DriftParams, DriftTrace,
                     sample_symbols, validate_trace)
 from debias import sources
 from debias.sources import _BLOCK as BLOCK
+from debias.sources import _LANE as LANE
+from debias.sources import _STREAM as STREAM
 from debias.sources import PAIR_KEYS, _save_offsets, load_markov_table, load_pair_dists
 from string_oracles import trace_text
 
@@ -470,11 +472,40 @@ def test_markov_matches_loop_oracle(spec):
 @pytest.mark.parametrize("lane", [1, 3])
 @pytest.mark.parametrize("spec", list(_markov_specs()), ids=_markov_id)
 def test_markov_lanes_match_loop_oracle(monkeypatch, spec, lane):
-    # lanes of one draw or of a few instead of the default _LANE: many lanes
-    # leave a pass unmet and queue their successors, or the histories meet
-    # too slowly for such lanes and the chunk is drawn in lanes of _BLOCK
+    # lanes of one draw or of a few instead of the default _LANE: many
+    # walkers carry on through several lanes, and where the histories meet
+    # too slowly for such lanes the next chunk is drawn in lanes of _BLOCK
     monkeypatch.setattr("debias.sources._LANE", lane)
     _assert_markov_matches_loop(spec)
+
+
+# the benchmark's k = 3 table, input set 0
+BENCH_K3 = MarkovSource(3, 0.05, 0.6, {format(h, "03b"): float(v) for h, v in enumerate(
+    np.random.default_rng([0, 1]).uniform(0.6 - 0.05, 0.6 + 0.05, size=8))})
+
+
+@pytest.mark.parametrize("spec, lanes", [
+    (BENCH_K3, [LANE] * 4),
+    (next(s for s in _markov_specs() if s.k == 12), [LANE] + [BLOCK] * 3),
+], ids=["bench-k3", "k12"])
+def test_markov_draws_each_chunk_once(monkeypatch, spec, lanes):
+    # a 10^6-bit run is four chunks, each drawn in one call: histories that
+    # meet within a few draws keep lanes of _LANE, while the k = 12 table's
+    # walkers carry on through many lanes of its first chunk, and the chunks
+    # after it take lanes of _BLOCK
+    shapes, markov_bits = [], sources._markov_bits
+
+    def record(draws, *args):
+        shapes.append(draws.shape)
+        return markov_bits(draws, *args)
+
+    monkeypatch.setattr("debias.sources._markov_bits", record)
+    bits = BitString(b"".join(b.tobytes() for b, _ in sources._chunks(spec, 10**6, 10_001)))
+    assert bits == _markov_loop(spec, 10**6, np.random.default_rng(10_001))
+    heads = [spec.k] + [0] * 3
+    sizes = [STREAM] * 3 + [10**6 - 3 * STREAM]
+    assert shapes == [(-(-(m - head) // lane), lane)
+                      for m, head, lane in zip(sizes, heads, lanes)]
 
 
 def test_pairwise_matches_tiled_oracle():

@@ -10,8 +10,9 @@ import pytest
 from debias import (BitString, ConstantSource, DriftingSource, DriftParams, DriftTrace,
                     MarkovExperiment, MarkovSource, PairwiseSource, QaryString,
                     ValidationError, adversarial_trace, borel_counts, delete_symbol,
-                    normalized_dist, parity_normalize, random_markov_source, sample,
-                    sample_symbols, symbol_block_counts, uniform_dist, vn_preimage)
+                    exact_source_dist, normalized_dist, parity_normalize,
+                    random_markov_source, sample, sample_symbols, symbol_block_counts,
+                    uniform_dist, vn_preimage)
 from debias.bits import format_bits
 from debias.sources import PAIR_KEYS, load_markov_table
 
@@ -61,6 +62,11 @@ CASES = {
     "MarkovSource table number": lambda: MarkovSource(0, 0.1, 0.5, 0.5),
     "PairwiseSource dist list": lambda: PairwiseSource([[0.25] * 4]),
     "PairwiseSource dist string": lambda: PairwiseSource(["0.25 0.25 0.25 0.25"]),
+    "unknown trajectory": lambda: DriftingSource(PARAMS, trajectory="zigzag"),
+    "sine trajectory without a period": lambda: DriftingSource(PARAMS, trajectory="sine"),
+    "sample_symbols one symbol": lambda: sample_symbols([1.0], 4, 1),
+    "sample not a source spec": lambda: sample(PARAMS, 4, 1),
+    "exact_source_dist not a source spec": lambda: exact_source_dist(PARAMS, 4),
 }
 
 
