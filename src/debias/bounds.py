@@ -15,9 +15,9 @@ The incomplete beta evaluator follows the classic continued-fraction scheme
 (Stirling-error series plus a stable deviance term; Loader 2000) rather than
 raw lgamma differences, which keeps results accurate to ~1e-13 even at
 n = 10**6; the same expansion, at real arguments, supplies the continued
-fraction's front factor for every shape.  The binomial CDF is
-I_{1-p}(n-k, k+1) through :func:`reg_inc_beta`.  Each quantity has this one
-route; the slow independent routes (tail and half sums, grid search,
+fraction's front factor for every shape.  :func:`binom_tv` subtracts two
+binomial upper tails P(X >= l) = I_p(l, n-l+1).  Each quantity has this one
+route; the slow independent routes (CDF, tail and half sums, grid search,
 sign-pattern enumeration) are test oracles and are not part of the package.
 """
 

@@ -1,9 +1,6 @@
 import io
 import math
 import os
-import resource
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -17,6 +14,7 @@ from debias import (BitString, ConstantSource, DriftingSource, DriftParams,
                     sweep, total_variation, tv_bound_exact, uniform_dist,
                     vn_normalize, write_borel_csv)
 from debias.cli import DEFAULT_SEED, build_parser, run
+from child import run_cli, run_python
 from string_oracles import (borel_csv, borel_table, csv_writer_table, markov_csv,
                             sweep_csv, trace_text)
 from test_sources import STREAMS, save_markov_table, seam_cases
@@ -48,6 +46,11 @@ def test_calibrate_output(capsys):
     delta = float(lines[1].split()[1])
     assert alpha == pytest.approx(0.2, abs=1e-8)
     assert delta == pytest.approx(bounds.calibrate_delta(0.5, 0.1, alpha), rel=1e-12)
+    # the exact method, printed to 12 significant digits
+    for m, rho, want in (("1000000", "0.01", "2.50668963167e-05"),
+                         ("2", "0.11", "0.199999999986")):
+        assert run(["calibrate", "--m", m, "--rho", rho]) == 0
+        assert capsys.readouterr().out == f"alpha {want}\n"
 
 
 def test_calibrate_delta_above_beta_means_every_admitted_speed_meets_rho(capsys):
@@ -230,13 +233,18 @@ def test_markov_subcommand(tmp_path, capsys):
 
 
 def test_markov_odd_n(tmp_path, capsys):
-    # the unpaired 17th bit is dropped, not an error
-    out = tmp_path / "markov.csv"
-    assert run(["markov", "--k", "1", "--kappa", "0.05", "--m", "2", "-n", "17",
-                "--samples", "100", "-o", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 2 and lines[1].split(",")[3] == "17"
-    assert "accepted" in capsys.readouterr().err
+    # the unpaired 17th bit is dropped, not an error: the row is n = 16's but for n
+    rows = []
+    for n in ("16", "17"):
+        out = tmp_path / f"markov{n}.csv"
+        assert run(["markov", "--k", "1", "--kappa", "0.05", "--m", "2", "-n", n,
+                    "--samples", "100", "-o", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 and lines[1].split(",")[3] == n
+        assert "accepted" in capsys.readouterr().err
+        rows.append(lines[1].split(","))
+    even, odd = rows
+    assert even[:3] + even[4:] == odd[:3] + odd[4:]
 
 
 def test_every_writer_matches_its_oracle_at_small_chunks(monkeypatch, tmp_path,
@@ -406,15 +414,6 @@ def test_generate_refuses_one_file_for_bits_and_trace(tmp_path, capsys):
     assert bits.read_text() == "kept"
 
 
-def _limit_child():
-    """Cap the address space at 1 GiB and the CPU time at 20 s (never above
-    an existing hard limit), so that a lost size limit fails in the child."""
-    for res, cap in ((resource.RLIMIT_AS, 1 << 30), (resource.RLIMIT_CPU, 20)):
-        hard = resource.getrlimit(res)[1]
-        cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
-        resource.setrlimit(res, (cap, cap))
-
-
 # each size argument has one stated limit, checked before any allocation; a
 # tree without it would allocate without bound, so these run in a bounded child
 @pytest.mark.parametrize("argv, needle", [
@@ -429,13 +428,7 @@ def _limit_child():
 ], ids=["sweep-points", "markov-samples", "markov-work"])
 def test_size_limits_fail_fast_in_a_bounded_child(argv, needle, tmp_path):
     out = tmp_path / "out.csv"
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    # one BLAS thread: OpenBLAS maps a buffer per thread when numpy loads,
-    # which on a many-core machine alone could pass the 1 GiB cap
-    done = subprocess.run(
-        [sys.executable, "-m", "debias.cli", *(a.format(out=out) for a in argv)],
-        capture_output=True, text=True, preexec_fn=_limit_child, timeout=120,
-        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    done = run_cli(*(a.format(out=out) for a in argv))
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith("error:") and needle in done.stderr
     assert "Traceback" not in done.stderr
@@ -443,22 +436,18 @@ def test_size_limits_fail_fast_in_a_bounded_child(argv, needle, tmp_path):
 
 
 def test_module_runs_as_script():
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    done = subprocess.run([sys.executable, "-m", "debias.cli", "tv", "--m", "2", "--alpha", "0.2"],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    done = run_cli("tv", "--m", "2", "--alpha", "0.2")
     assert (done.returncode, done.stdout, done.stderr) == (0, "0.11\n", "")
 
 
 def test_help_is_the_same_with_one_subcommand_built(monkeypatch, capsys):
     # the help of each subcommand, and the top level's, reads the same in a
-    # fresh process as from the parser this process has built and used
+    # fresh process as from the parser this process has built and used; the
+    # child inherits this process's COLUMNS
     monkeypatch.setenv("COLUMNS", "80")
-    env = {**os.environ, "COLUMNS": "80",
-           "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     for argv in [["--help"]] + [[c, "--help"] for c in cli._COMMANDS]:
         assert run(argv) == 0
-        done = subprocess.run([sys.executable, "-m", "debias.cli", *argv],
-                              capture_output=True, text=True, env=env)
+        done = run_cli(*argv)
         assert (done.returncode, done.stdout) == (0, capsys.readouterr().out), argv
 
 
@@ -474,11 +463,7 @@ def test_parser_built_once_and_dispatch_late_bound(monkeypatch, capsys):
     assert run(["calibrate", "--m", "2", "--rho", "x"]) == 1
     assert run(argv) == 0
     out = capsys.readouterr().out
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    fresh = subprocess.run(
-        [sys.executable, "-c", "from debias.cli import main; main()", *argv],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src})
+    fresh = run_python("-c", "from debias.cli import main; main()", *argv, check=True)
     assert out == fresh.stdout and out.startswith("alpha 0.199999999986\n")
 
 
@@ -570,13 +555,10 @@ def test_generate_memory_is_independent_of_n(tmp_path, kind):
              "markov": ["--source", "markov", "--k", "2", "--kappa", "0.05", "--p0", "0.5",
                         "--table", str(tmp_path / "table")],
              "pairwise": ["--source", "pairwise", "--pairs", str(tmp_path / "pairs")]}[kind]
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     peaks = []
     for n in (10**5, 10**7):
-        done = subprocess.run(
-            [sys.executable, "-c", _PEAK_CHILD, "generate", *flags, "-n", str(n),
-             "--format", "packed", "-o", str(tmp_path / "bits")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        done = run_python("-c", _PEAK_CHILD, "generate", *flags, "-n", str(n),
+                          "--format", "packed", "-o", str(tmp_path / "bits"))
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "bits").stat().st_size == 8 + -(-n // 8)
         peaks.append(int(done.stderr.split("peak_kb")[-1]) / 1024)
@@ -637,6 +619,17 @@ def test_normalize_and_analyze_bytes_do_not_depend_on_chunk_sizes(monkeypatch, t
     monkeypatch.setattr("debias.normalize._OUT", size)
     monkeypatch.setattr("debias.stats._WIN", size)
     assert _normalize_and_analyze(tmp_path, capsys) == want
+    # both formats carry a piece's odd bits into the next piece and decode alike
+    for method in ("vn", "peres", "parity"):
+        assert parse_bits(want[method, "packed"], "packed") == parse_bits(want[method, "ascii"],
+                                                                          "ascii")
+    # the overlapping counts of each m cover its n - m + 1 windows
+    rows = want["overlapping", "packed"][1].decode().split("\r\n")[1:-1]
+    sums = {}
+    for row in rows:
+        m, count = row.split(",")[0], row.split(",")[3]
+        sums[int(m)] = sums.get(int(m), 0) + int(count)
+    assert len(rows) == 510 and sums == {m: 3001 - m + 1 for m in range(1, 9)}
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
@@ -645,7 +638,6 @@ def test_normalize_and_analyze_memory_per_input_bit(tmp_path):
     # takes 1 B a bit, the packed parse a second byte for a moment.  Per-m
     # int64 windows (analyze) and whole-output index arrays (Peres) grew
     # them by 9.0 B and 14.6 B a bit.
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     rng = np.random.default_rng(5)
     cmds = {"analyze": ["analyze", "--mode", "overlapping", "--max-m", "8"],
             "peres": ["normalize", "--method", "peres", "-o", str(tmp_path / "out")]}
@@ -654,9 +646,7 @@ def test_normalize_and_analyze_memory_per_input_bit(tmp_path):
         raw = tmp_path / "raw"
         raw.write_bytes(n.to_bytes(8, "little") + rng.integers(0, 256, n // 8, np.uint8).tobytes())
         for name, argv in cmds.items():
-            done = subprocess.run(
-                [sys.executable, "-c", _PEAK_CHILD, *argv, "-i", str(raw), "--format", "packed"],
-                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+            done = run_python("-c", _PEAK_CHILD, *argv, "-i", str(raw), "--format", "packed")
             assert done.returncode == 0, done.stderr
             peaks[name].append(int(done.stderr.split("peak_kb")[-1]) * 1024)
     growth = {name: (p[1] - p[0]) / (10**7 - 10**5) for name, p in peaks.items()}

@@ -1,0 +1,30 @@
+"""What only a fresh process shows: a refused command's exit status, as a
+shell pipeline sees it.  The messages themselves are checked in process by
+``test_cli.py::test_bad_arguments_fail_fast``."""
+
+import pytest
+
+from child import run_cli
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "-i", "{bits}", "--max-m", "27"],
+    ["generate", "--source", "pairwise", "--pairs", "{pairs}", "-n", "8", "-o", "{out}"],
+    ["generate", "--source", "drifting", "--p0", "0.5", "--beta", "0.1", "--delta", "0.01",
+     "--trajectory", "sine", "--period", "nan", "-n", "8", "-o", "{out}"],
+    ["generate", "--source", "drifting", "--p0", "0.5", "--beta", "0.1", "--delta", "0.01",
+     "--trajectory", "fixed", "--trace-in", "{trace}", "-n", "3", "-o", "{out}"],
+    ["calibrate", "--method", "naive", "--m", "1", "--rho", "1e308"],
+], ids=["analyze-max-m", "nan-pairs", "nan-period", "nan-trace", "naive-rho"])
+def test_refused_command_exits_1(argv, tmp_path):
+    bits = tmp_path / "forty.txt"
+    bits.write_text("0110" * 10)
+    pairs = tmp_path / "nan.pairs"
+    pairs.write_text("nan 0.5 0.5 0\n")
+    trace = tmp_path / "nan.trace"
+    trace.write_text("0.0\nnan\n0.0\n")
+    out = tmp_path / "out.txt"
+    done = run_cli(*(a.format(bits=bits, pairs=pairs, trace=trace, out=out) for a in argv))
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+    assert done.stdout == "" and not out.exists()

@@ -1,14 +1,10 @@
 import io
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import debias
 from debias import (BitString, ConstantSource, DegenerateSourceError,
                     DistributionTable, DriftParams, DriftTrace, DriftingSource,
                     MarkovSource, PairwiseSource, ValidationError,
@@ -16,6 +12,7 @@ from debias import (BitString, ConstantSource, DegenerateSourceError,
                     random_markov_source, total_variation, uniform_dist,
                     vn_normalize, worst_case_product_dist)
 from debias.cli import run
+from child import run_python
 from string_oracles import csv_reader_table, csv_writer_table, pn_prob, rn_prob
 
 PAIR_EX_SYM = {"00": 0.0, "01": 1 / 3, "10": 1 / 3, "11": 1 / 3}
@@ -386,9 +383,12 @@ def _oracle_csv(table) -> str:
 
 
 def _csv_tables(n, rng):
-    """A smooth table, a random one and, from n = 3 up, one whose rows need
-    repr's exponent form (1e-300, 1e-05), a zero and a negative zero."""
+    """A smooth table, a strongly biased one (at n = 16 it runs from 0.984
+    down to 1e-48, so its blocks mix rows of the integer route with repr's),
+    a random one and, from n = 3 up, one whose rows need repr's exponent
+    form (1e-300, 1e-05), a zero and a negative zero."""
     yield exact_source_dist(ConstantSource(0.7), n)
+    yield exact_source_dist(ConstantSource(0.999), n)
     probs = rng.dirichlet(np.ones(1 << n))
     yield DistributionTable(n, probs)
     if n >= 3:
@@ -449,10 +449,8 @@ def test_csv_through_cli_stdout(capsysbinary):
     want = _oracle_csv(exact_source_dist(ConstantSource(0.7), 15)).encode()
     assert capsysbinary.readouterr().out == want
     # a fresh interpreter's own sys.stdout writes the same bytes
-    src = os.path.dirname(os.path.dirname(debias.__file__))
-    fresh = subprocess.run(
-        [sys.executable, "-c", "from debias.cli import main; main()", *argv],
-        capture_output=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    fresh = run_python("-c", "from debias.cli import main; main()", *argv, text=False,
+                       check=True)
     assert fresh.stdout == want
 
 

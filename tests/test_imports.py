@@ -1,15 +1,9 @@
 """What each command and each public name loads.  Every case runs in a fresh
 interpreter, since this process has long loaded every module."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
-import debias
-
-SRC = os.path.dirname(os.path.dirname(debias.__file__))
+from child import run_python
 
 # the public names, each resolved from its module on first use
 NAMES = (
@@ -31,8 +25,7 @@ NAMES = (
 
 def _fresh(code: str) -> list:
     """The stdout lines of ``code`` run in a fresh interpreter on this tree."""
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": SRC})
+    done = run_python("-c", code)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
