@@ -32,9 +32,8 @@ from numbers import Real
 import numpy as np
 
 from .errors import BitFormatError, ValidationError, _integer
+from .params import FORMATS
 from .shortest import _E2, _POW10, _shortest
-
-FORMATS = ("ascii", "packed")
 
 _ASCII_WS = b" \t\n\r\x0b\x0c"
 

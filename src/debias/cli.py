@@ -244,30 +244,31 @@ def cmd_markov(args) -> int:
 
 
 def _generate_args(p: argparse.ArgumentParser) -> None:
+    from .params import FORMATS
     _add_source_flags(p)
     p.add_argument("-n", type=int, required=True, help="number of bits")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--format", default="ascii", choices=["ascii", "packed"])
+    p.add_argument("--format", default="ascii", choices=list(FORMATS))
     p.add_argument("--trace-out", help="write the realized drift trace here")
 
 
 def _normalize_args(p: argparse.ArgumentParser) -> None:
-    from .params import METHODS
+    from .params import FORMATS, METHODS
     p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--block", type=int, default=2, help="parity block length")
     p.add_argument("-i", "--input", required=True)
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--format", default="ascii", choices=["ascii", "packed"])
+    p.add_argument("--format", default="ascii", choices=list(FORMATS))
 
 
 def _analyze_args(p: argparse.ArgumentParser) -> None:
-    from .params import MODES
+    from .params import FORMATS, MODES
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--max-m", type=int, default=3)
     p.add_argument("--mode", default="non-overlapping", choices=list(MODES))
     p.add_argument("--csv", help="also write a machine-readable report here")
-    p.add_argument("--format", default="ascii", choices=["ascii", "packed"])
+    p.add_argument("--format", default="ascii", choices=list(FORMATS))
 
 
 def _dist_args(p: argparse.ArgumentParser) -> None:
@@ -328,12 +329,12 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process with every subcommand's arguments."""
     ap = argparse.ArgumentParser(
-        prog="debias",
+        prog="debias", allow_abbrev=False,
         description="Bit-source generation, von Neumann-style un-biasing, and "
                     "exact distribution/bound analysis.")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_line, add_args) in _COMMANDS.items():
-        add_args(sub.add_parser(name, help=help_line))
+        add_args(sub.add_parser(name, help=help_line, allow_abbrev=False))
     return ap
 
 

@@ -11,6 +11,7 @@ from .errors import _integer, _interval
 TRAJECTORIES = ("walk", "sine", "fixed", "adversarial")
 METHODS = ("vn", "peres", "parity")
 MODES = ("non-overlapping", "overlapping")
+FORMATS = ("ascii", "packed")  # of a bit file
 
 MAX_ENUM_N = 26
 _GUARD = f"the enumeration guard {MAX_ENUM_N}"

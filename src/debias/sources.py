@@ -34,12 +34,14 @@ PAIR_KEYS = ("00", "01", "10", "11")
 MAX_MARKOV_K = 16
 _K_LIMIT = f"MAX_MARKOV_K = {MAX_MARKOV_K}"
 
-# steps per lane of the walk's lockstep pass, and draws per lane of the
-# Markov sampler's from the chunk after one whose histories meet slowly
+# steps per lane of the walk's lockstep pass; also the most draws that the
+# Markov sampler's one-bit sweep lists at once
 _BLOCK = 1024
 
-# draws per lane of the Markov sampler's lockstep pass
-_LANE = 64
+# draws per lane of the Markov sampler's lockstep pass.  No power of two:
+# each lockstep step reads one draw per lane, _LANE * 8 bytes apart, and the
+# pass ran slower at 64 and at 128 than at every width around them
+_LANE = 136
 
 # walkers that the Markov sampler leaves to its one-bit sweep rather than
 # step all at once, at most
@@ -534,7 +536,7 @@ def _bernoulli_chunks(p0: float, offsets, n: int, draws):
 
 
 def _markov_bits(draws: np.ndarray, h: int, cond: np.ndarray, cl: list,
-                 bits: np.ndarray, hist: np.ndarray) -> bool:
+                 bits: np.ndarray, hist: np.ndarray) -> None:
     """bits[j, t] = 1 iff draws[j, t] >= cond[the k-bit history before it],
     the draws read row by row after the history ``h``; bit-identical to a
     loop over the draws.  ``cl`` is ``cond`` as a list, and ``hist`` a
@@ -552,9 +554,6 @@ def _markov_bits(draws: np.ndarray, h: int, cond: np.ndarray, cl: list,
     stored, so met walkers are dropped once half have met.  Once few are
     left, or fewer than 1/16 meet within a lane (a deterministic table
     never meets), the rest is drawn bit by bit (:func:`_markov_sweep`).
-
-    Returns True if a lane left more than half of its walkers unmet before
-    the sweep: the histories meet, but mostly not within ``lane`` draws.
     """
     rows, lane = draws.shape
     mask = len(cl) - 1
@@ -574,7 +573,6 @@ def _markov_bits(draws: np.ndarray, h: int, cond: np.ndarray, cl: list,
     # guessed history g[at] before it and its own history hc
     q = np.flatnonzero(hist[0, 1:] != hist[lane, :-1]) + 1
     i, at, hc = q * lane, q, hist[lane, q - 1]
-    slow = False
     while len(i) > _FEW:
         live = len(i)
         g[at] = hc
@@ -597,10 +595,8 @@ def _markov_bits(draws: np.ndarray, h: int, cond: np.ndarray, cl: list,
         i, at, hc = i[on], at[on], hc[on]
         if 16 * (live - left) < live:
             break
-        slow |= 2 * left > live
     if len(i):
         _markov_sweep(draws, int(hc[0]), cl, bits, hist, at)
-    return slow
 
 
 def _markov_sweep(draws: np.ndarray, h: int, cl: list, bits: np.ndarray,
@@ -648,17 +644,15 @@ def _markov_chunks(spec: MarkovSource, n: int, rng):
     """Bit i is 1 iff uniform draw i >= P(0 | the previous k bits), or >= p0
     for the first k bits of the run; the history carries over from chunk to
     chunk.  A chunk's draws after its first k are cut into lanes of
-    ``_LANE``, or of ``_BLOCK`` from the chunk after one on which the
-    histories are seen to meet too slowly for short lanes; each chunk is
-    drawn once (:func:`_markov_bits`)."""
+    ``_LANE`` and drawn once (:func:`_markov_bits`)."""
     k, cond = spec.k, spec.cond_zero_probs()
     cl, mask = cond.tolist(), len(cond) - 1
     # the head's draws sit before the lanes, which may run past the chunk
-    rows = [(-(-min(n, _STREAM) // lane), lane) for lane in (_LANE, _BLOCK)]
-    u = np.zeros(k + max(r * lane for r, lane in rows))
+    rows = -(-min(n, _STREAM) // _LANE)
+    u = np.zeros(k + rows * _LANE)
     bits = np.empty(len(u), dtype=np.uint8)
-    hist = np.empty(max(r * (lane + 1) for r, lane in rows), dtype=np.uint16)
-    h, lane = 0, _LANE
+    hist = np.empty(rows * (_LANE + 1), dtype=np.uint16)
+    h = 0
     for lo, hi in _spans(n):
         m = hi - lo
         rng.random(out=u[:m])
@@ -666,12 +660,11 @@ def _markov_chunks(spec: MarkovSource, n: int, rng):
         np.greater_equal(u[:head], spec.p0, out=bits[:head])
         h = _shift_in(h, bits[:head], mask)
         if m > head:
-            rows = -(-(m - head) // lane)
-            lanes = slice(head, head + rows * lane)
-            if _markov_bits(u[lanes].reshape(rows, lane), h, cond, cl,
-                            bits[lanes].reshape(rows, lane),
-                            hist[:rows * (lane + 1)].reshape(lane + 1, rows)):
-                lane = _BLOCK
+            rows = -(-(m - head) // _LANE)
+            lanes = slice(head, head + rows * _LANE)
+            _markov_bits(u[lanes].reshape(rows, _LANE), h, cond, cl,
+                         bits[lanes].reshape(rows, _LANE),
+                         hist[:rows * (_LANE + 1)].reshape(_LANE + 1, rows))
         h = _shift_in(h, bits[max(head, m - k):m], mask)
         yield bits[:m], None
 
@@ -708,15 +701,17 @@ def _chunks(spec: SourceSpec, n: int, seed: int):
     the chunk's 0/1 ``uint8`` bits and, for a drifting source, its offsets
     (None for other sources).  Both are buffers the iterator reuses, so read
     a chunk before asking for the next.  Every source draws from one
-    ``default_rng(seed)``; a constant source is a drifting one whose offsets
-    are all zero."""
+    ``default_rng(seed)``; a constant source, and a k = 0 Markov source, is
+    a drifting one whose offsets are all zero."""
     n = _integer("n", n, 0)
     seed = _integer("seed", seed, 0)
     draws = np.random.default_rng(seed)
-    if isinstance(spec, ConstantSource):
-        # read-only zeros that take no memory: p0 - 0.0 == p0
+    if isinstance(spec, ConstantSource) or isinstance(spec, MarkovSource) and spec.k == 0:
+        # a k = 0 Markov source has no history, so its one P(0) is its p0.
+        # The offsets are read-only zeros that take no memory: p0 - 0.0 == p0
+        p0 = spec.p0 if isinstance(spec, ConstantSource) else spec.cond_zero_probs()[0]
         zeros = (np.broadcast_to(0.0, (hi - lo,)) for lo, hi in _spans(n))
-        return ((bits, None) for bits, _ in _bernoulli_chunks(spec.p0, zeros, n, draws))
+        return ((bits, None) for bits, _ in _bernoulli_chunks(p0, zeros, n, draws))
     if isinstance(spec, DriftingSource):
         if spec.trajectory == "walk":
             # the walk's n - 1 steps come first in the seed's stream, then one

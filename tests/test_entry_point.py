@@ -7,16 +7,19 @@ import pytest
 from child import run_cli
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "-i", "{bits}", "--max-m", "27"],
-    ["generate", "--source", "pairwise", "--pairs", "{pairs}", "-n", "8", "-o", "{out}"],
-    ["generate", "--source", "drifting", "--p0", "0.5", "--beta", "0.1", "--delta", "0.01",
-     "--trajectory", "sine", "--period", "nan", "-n", "8", "-o", "{out}"],
-    ["generate", "--source", "drifting", "--p0", "0.5", "--beta", "0.1", "--delta", "0.01",
-     "--trajectory", "fixed", "--trace-in", "{trace}", "-n", "3", "-o", "{out}"],
-    ["calibrate", "--method", "naive", "--m", "1", "--rho", "1e308"],
-], ids=["analyze-max-m", "nan-pairs", "nan-period", "nan-trace", "naive-rho"])
-def test_refused_command_exits_1(argv, tmp_path):
+@pytest.mark.parametrize("argv, start", [
+    (["analyze", "-i", "{bits}", "--max-m", "27"], "error:"),
+    (["generate", "--source", "pairwise", "--pairs", "{pairs}", "-n", "8", "-o", "{out}"],
+     "error:"),
+    (["generate", "--source", "drifting", "--p0", "0.5", "--beta", "0.1", "--delta", "0.01",
+      "--trajectory", "sine", "--period", "nan", "-n", "8", "-o", "{out}"], "error:"),
+    (["generate", "--source", "drifting", "--p0", "0.5", "--beta", "0.1", "--delta", "0.01",
+      "--trajectory", "fixed", "--trace-in", "{trace}", "-n", "3", "-o", "{out}"], "error:"),
+    (["calibrate", "--method", "naive", "--m", "1", "--rho", "1e308"], "error:"),
+    # argparse's usage error: its usage line comes before its "error:" line
+    (["tv", "--m", "2", "--alph", "0.2"], "usage: debias tv"),
+], ids=["analyze-max-m", "nan-pairs", "nan-period", "nan-trace", "naive-rho", "abbreviated-flag"])
+def test_refused_command_exits_1(argv, start, tmp_path):
     bits = tmp_path / "forty.txt"
     bits.write_text("0110" * 10)
     pairs = tmp_path / "nan.pairs"
@@ -26,5 +29,5 @@ def test_refused_command_exits_1(argv, tmp_path):
     out = tmp_path / "out.txt"
     done = run_cli(*(a.format(bits=bits, pairs=pairs, trace=trace, out=out) for a in argv))
     assert done.returncode == 1, done.stderr
-    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+    assert done.stderr.startswith(start) and "Traceback" not in done.stderr
     assert done.stdout == "" and not out.exists()

@@ -473,8 +473,7 @@ def test_markov_matches_loop_oracle(spec):
 @pytest.mark.parametrize("spec", list(_markov_specs()), ids=_markov_id)
 def test_markov_lanes_match_loop_oracle(monkeypatch, spec, lane):
     # lanes of one draw or of a few instead of the default _LANE: many
-    # walkers carry on through several lanes, and where the histories meet
-    # too slowly for such lanes the next chunk is drawn in lanes of _BLOCK
+    # walkers carry on through several lanes
     monkeypatch.setattr("debias.sources._LANE", lane)
     _assert_markov_matches_loop(spec)
 
@@ -484,15 +483,18 @@ BENCH_K3 = MarkovSource(3, 0.05, 0.6, {format(h, "03b"): float(v) for h, v in en
     np.random.default_rng([0, 1]).uniform(0.6 - 0.05, 0.6 + 0.05, size=8))})
 
 
-@pytest.mark.parametrize("spec, lanes", [
-    (BENCH_K3, [LANE] * 4),
-    (next(s for s in _markov_specs() if s.k == 12), [LANE] + [BLOCK] * 3),
-], ids=["bench-k3", "k12"])
-def test_markov_draws_each_chunk_once(monkeypatch, spec, lanes):
-    # a 10^6-bit run is four chunks, each drawn in one call: histories that
-    # meet within a few draws keep lanes of _LANE, while the k = 12 table's
-    # walkers carry on through many lanes of its first chunk, and the chunks
-    # after it take lanes of _BLOCK
+@pytest.mark.parametrize("spec", [
+    BENCH_K3,
+    next(s for s in _markov_specs() if s.k == 12),
+    next(s for s in _markov_specs() if s.k == 0),
+    MarkovSource(k=0, kappa=0.5, p0=0.5, table={"": 0.0}),
+    MarkovSource(k=0, kappa=0.5, p0=0.5, table={"": 1.0}),
+], ids=["bench-k3", "k12", "k0", "k0-zero", "k0-one"])
+def test_markov_draws_each_chunk_once(monkeypatch, spec):
+    # a 10^6-bit run is four chunks, each drawn in one call in lanes of
+    # _LANE, whether the histories meet within a few draws (k = 3) or the
+    # walkers carry on through many lanes (k = 12).  A k = 0 table has no
+    # history: its bits are drawn as a constant source's, with no lanes
     shapes, markov_bits = [], sources._markov_bits
 
     def record(draws, *args):
@@ -504,8 +506,8 @@ def test_markov_draws_each_chunk_once(monkeypatch, spec, lanes):
     assert bits == _markov_loop(spec, 10**6, np.random.default_rng(10_001))
     heads = [spec.k] + [0] * 3
     sizes = [STREAM] * 3 + [10**6 - 3 * STREAM]
-    assert shapes == [(-(-(m - head) // lane), lane)
-                      for m, head, lane in zip(sizes, heads, lanes)]
+    assert shapes == ([] if spec.k == 0 else
+                      [(-(-(m - head) // LANE), LANE) for m, head in zip(sizes, heads)])
 
 
 def test_pairwise_matches_tiled_oracle():
@@ -602,7 +604,7 @@ def test_trace_save_mostly_repr_fallback_to_an_open_file(monkeypatch, tmp_path):
 
 
 # chunk sizes for the seam tests: the smallest (one packed byte), three
-# lanes and a byte, and one that is no multiple of _BLOCK
+# walk blocks and a byte, and one that is no multiple of _BLOCK
 STREAMS = [8, 3 * BLOCK + 8, 1000]
 
 
