@@ -11,14 +11,16 @@ crude exponential bound and a first-order linear bound, plus the inverse
 
 The incomplete beta evaluator follows the classic continued-fraction scheme
 (modified Lentz, symmetry switch at x > (a+1)/(a+b+2), 500-iteration cap,
-1e-14 step tolerance).  Binomial log-pmfs use a scalar saddle-point expansion
-(Stirling-error series plus a stable deviance term; Loader 2000) rather than
-raw lgamma differences, which keeps results accurate to ~1e-13 even at
-n = 10**6; the same expansion, at real arguments, supplies the continued
-fraction's front factor for every shape.  :func:`binom_tv` subtracts two
-binomial upper tails P(X >= l) = I_p(l, n-l+1).  Each quantity has this one
-route; the slow independent routes (CDF, tail and half sums, grid search,
-sign-pattern enumeration) are test oracles and are not part of the package.
+1e-14 step tolerance; float arithmetic only).  Binomial log-pmfs use a scalar
+saddle-point expansion (Stirling-error series plus a stable deviance term;
+Loader 2000) rather than raw lgamma differences, which keeps results accurate
+to ~1e-13 even at n = 10**6; the same expansion, at real arguments, supplies
+the continued fraction's front factor for every shape (adding logs where a
+product would leave the normal doubles).  :func:`binom_tv` subtracts two
+binomial upper tails P(X >= l) = I_p(l, n-l+1), n <= 2**53; a solve over many
+alphas at one m computes each alpha-free tail I_{1/2} once.  Each quantity has
+this one route; the slow independent routes (CDF, tail and half sums, grid
+search, sign-pattern enumeration) are test oracles, not part of the package.
 """
 
 from __future__ import annotations
@@ -41,9 +43,12 @@ def _stirlerr(n: float) -> float:
     return (1.0 / 12.0 - (1.0 / 360.0 - inner / nn) / nn) / n
 
 
-def _bd0(x: float, m: float) -> float:
-    """Deviance term x*log(x/m) + m - x, computed stably near x = m."""
+def _bd0(x: float, n: float, p: float) -> float:
+    """Deviance term x*log(x/m) + m - x at m = n p, computed stably near x = m."""
+    m = n * p
     if abs(x - m) >= 0.1 * (x + m):
+        if m < 2.0 ** -1022 or x / m == math.inf:  # m subnormal, or x/m overflows: log in parts
+            return x * (math.log(x) - math.log(n) - math.log(p)) + m - x
         return x * math.log(x / m) + m - x
     v = (x - m) / (x + m)
     s = (x - m) * v
@@ -71,8 +76,11 @@ def _log_pmf(n: float, k: float, p: float) -> float:
         return n * math.log(p)
     nk = n - k
     lc = (_stirlerr(n) - _stirlerr(k) - _stirlerr(nk)
-          - _bd0(k, n * p) - _bd0(nk, n * (1.0 - p)))
-    return lc + 0.5 * math.log(n / (2.0 * math.pi * k * nk))
+          - _bd0(k, n, p) - _bd0(nk, n, 1.0 - p))
+    den = 2.0 * math.pi * k * nk
+    if den < 2.0 ** -1022 or not 0.0 < n / den < math.inf:  # den subnormal, or n/den out of range
+        return lc + 0.5 * (math.log(n) - math.log(k) - math.log(nk)) - _LOG_SQRT_2PI
+    return lc + 0.5 * math.log(n / den)
 
 
 def _betacf(a: float, b: float, x: float, cap: int = 500, tol: float = 1e-14) -> float:
@@ -81,32 +89,35 @@ def _betacf(a: float, b: float, x: float, cap: int = 500, tol: float = 1e-14) ->
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
+    if -tiny < d < tiny:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, cap + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+    m = 0.0  # a float count: below 2**53 each step rounds as with int m and shapes
+    for _ in range(cap):
+        m += 1.0
+        m2 = m + m
+        am2 = a + m2
+        aa = m * (b - m) * x / ((qam + m2) * am2)
         d = 1.0 + aa * d
-        if abs(d) < tiny:
+        if -tiny < d < tiny:
             d = tiny
         c = 1.0 + aa / c
-        if abs(c) < tiny:
+        if -tiny < c < tiny:
             c = tiny
         d = 1.0 / d
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < tiny:
+        if -tiny < d < tiny:
             d = tiny
         c = 1.0 + aa / c
-        if abs(c) < tiny:
+        if -tiny < c < tiny:
             c = tiny
         d = 1.0 / d
         step = d * c
         h *= step
-        if abs(step - 1.0) < tol:
+        if -tol < step - 1.0 < tol:
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge within {cap} "
@@ -136,13 +147,23 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return 1.0 - _front_over_a(1.0 - x, b, a) * _betacf(b, a, 1.0 - x)
 
 
+def _exact_n(name: str, n) -> int:
+    """``n`` from 1 to 2**53, where shapes and crossing indices are exact floats;
+    the inner check keeps the message for n < 1."""
+    return _integer(name, _integer(name, n, 1), 1, 2 ** 53, "2**53, the exact route's limit")
+
+
 def crossing_index(n: int, p: float, x: float) -> int:
     """The count at which the pmfs of Bin(n,p) and Bin(n,p+x) cross; lies
     between ceil(n p) and ceil(n (p+x))."""
-    n = _integer("n", n, 1)
+    n = _exact_n("n", n)
     _interval("p", p, 0, 1)
+    _interval("x", x, 0, 1.0 - p, "(]")
+    return _crossing(n, p, x)
+
+
+def _crossing(n: int, p: float, x: float) -> int:
     q = 1.0 - p
-    _interval("x", x, 0, q, "(]")
     if x == q:
         return n
     num = -n * math.log1p(-x / q)
@@ -153,26 +174,36 @@ def crossing_index(n: int, p: float, x: float) -> int:
 def binom_tv(n: int, p: float, x: float) -> float:
     """Total variation between Bin(n, p) and Bin(n, p+x), via the incomplete
     beta difference at the crossing index."""
-    n = _integer("n", n, 1)
+    n = _exact_n("n", n)
     _interval("p", p, 0, 1, "[]")
     _interval("x", x, 0, 1.0 - p, "[]")
+    return _binom_tv(n, p, x)
+
+
+def _binom_tv(n: int, p: float, x: float, tails: dict | None = None) -> float:
+    """:func:`binom_tv` on checked arguments; ``tails`` maps l to I_p(l, n-l+1)."""
     if x == 0.0:
         return 0.0
     if p == 0.0:
         return 1.0 - (1.0 - x) ** n  # point mass at 0 vs Bin(n, x)
     if p + x == 1.0:
         return 1.0 - p ** n          # mirrored point-mass case
-    ell = crossing_index(n, p, x)
-    return (reg_inc_beta(p + x, ell, n - ell + 1)
-            - reg_inc_beta(p, ell, n - ell + 1))
+    ell = _crossing(n, p, x)
+    upper = reg_inc_beta(p + x, ell, n - ell + 1)  # first: its error wins
+    tails = {} if tails is None else tails
+    if ell not in tails:
+        tails[ell] = reg_inc_beta(p, ell, n - ell + 1)
+    return upper - tails[ell]
 
 
-def tv_bound_exact(m: int, alpha: float) -> float:
+def tv_bound_exact(m: int, alpha: float, *, _tails: dict | None = None) -> float:
     """Worst-case distance from uniform over m-bit blocks at asymmetry alpha:
-    the total variation between Bin(m, 1/2) and Bin(m, (1+alpha)/2)."""
-    m = _integer("m", m, 1)
+    the total variation between Bin(m, 1/2) and Bin(m, (1+alpha)/2); m <= 2**53.
+    Calls at one m that share a dict ``_tails`` compute each alpha-free half-tail
+    I_{1/2}(l, m-l+1), l the crossing index, once."""
+    m = _exact_n("m", m)
     _interval("alpha", alpha, 0, 1, "[)")
-    return binom_tv(m, 0.5, 0.5 * alpha)
+    return _binom_tv(m, 0.5, 0.5 * alpha, _tails)
 
 
 def tv_bound_naive(m: int, alpha: float) -> float:
@@ -223,7 +254,7 @@ def linear_alpha_for_rho(m: int, rho: float) -> float:
 def _tv_slope(m: int, alpha: float) -> float:
     """d tv_bound_exact(m, alpha) / d alpha = (m/2) pmf(m-1, l-1; (1+alpha)/2),
     l the crossing index; at alpha = 0 it is the limit from above, l = m//2 + 1."""
-    ell = crossing_index(m, 0.5, 0.5 * alpha) if alpha > 0.0 else m // 2 + 1
+    ell = _crossing(m, 0.5, 0.5 * alpha) if alpha > 0.0 else m // 2 + 1
     return 0.5 * m * math.exp(_log_pmf(m - 1, ell - 1, 0.5 + 0.5 * alpha))
 
 
@@ -234,11 +265,14 @@ def calibrate_alpha(m: int, rho: float) -> float:
     Safeguarded Newton steps on the closed-form slope (``rtsafe``) close an
     evaluated bracket a < b, tv(a) <= rho < tv(b), to width 1/16 of the
     bisection's final width ``_CALIBRATE_TOL``; the bisection's midpoints are
-    then replayed, and only one strictly inside (a, b) is evaluated.
+    then replayed, and only one strictly inside (a, b) is evaluated.  The
+    evaluations share one half-tail store (:func:`tv_bound_exact`).
     """
     _interval("rho", rho, 0, 1)
+    m = _exact_n("m", m)
+    tails = {}
     hi = 1.0 - 1e-9
-    if tv_bound_exact(m, hi) <= rho:
+    if tv_bound_exact(m, hi, _tails=tails) <= rho:
         return hi
     w = _CALIBRATE_TOL / 16.0
     a, b = 0.0, hi
@@ -253,7 +287,7 @@ def calibrate_alpha(m: int, rho: float) -> float:
             step = x - 0.5 * (a + b)
         before, last = last, step
         x -= step
-        fx = tv_bound_exact(m, x) - rho
+        fx = tv_bound_exact(m, x, _tails=tails) - rho
         if fx <= 0.0:
             a = x
         else:
@@ -261,7 +295,7 @@ def calibrate_alpha(m: int, rho: float) -> float:
     lo = 0.0
     while hi - lo > _CALIBRATE_TOL:
         mid = 0.5 * (lo + hi)
-        if mid <= a or (mid < b and tv_bound_exact(m, mid) <= rho):
+        if mid <= a or (mid < b and tv_bound_exact(m, mid, _tails=tails) <= rho):
             lo = mid
         else:
             hi = mid

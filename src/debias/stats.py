@@ -210,14 +210,17 @@ class SweepRow:
 
 def sweep(ms, alphas) -> list[SweepRow]:
     """Evaluate the bound family on an m x alpha grid (the linear column is
-    NaN for m < 3, where that bound is undefined)."""
+    NaN for m < 3, where that bound is undefined).  The exact column takes
+    m <= 2**53, and each m row computes each of its half-tails once
+    (``tv_bound_exact``'s ``_tails``)."""
     rows = []
     for m in ms:
+        tails = {}
         for alpha in (float(a) for a in alphas):
             rows.append(SweepRow(
                 m=int(m),
                 alpha=alpha,
-                tv_exact=float(tv_bound_exact(m, alpha)),
+                tv_exact=float(tv_bound_exact(m, alpha, _tails=tails)),
                 tv_linear=float(linear_bound(m, alpha)) if m >= 3 else math.nan,
                 tv_naive=float(tv_bound_naive(m, alpha)),
             ))

@@ -7,7 +7,9 @@ grid search and sign-pattern enumeration built on it check the continued
 fraction, the crossing-index TV formula, ``alpha_max`` and the flat region of
 the deviation sum.  ``binom_pmf`` exposes the scalar ``_log_pmf`` for direct
 checks.  The plain bisection is the float that ``debias.calibrate_alpha``
-must return.
+must return.  ``betacf_int_counts`` is the continued fraction as it was with
+an int step counter: the float-counting ``debias.bounds._betacf`` must
+return the same float, or raise the same ``ConvergenceError``.
 """
 
 import math
@@ -16,7 +18,7 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from debias import DriftParams, ValidationError, tv_bound_exact
+from debias import ConvergenceError, DriftParams, ValidationError, tv_bound_exact
 from debias.bounds import _log_pmf
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -214,3 +216,41 @@ def calibrate_alpha_bisection(m: int, rho: float, tol: float = 1e-10) -> float:
         else:
             hi = mid
     return lo
+
+
+def betacf_int_counts(a: float, b: float, x: float, cap: int = 500, tol: float = 1e-14) -> float:
+    """Continued fraction for the incomplete beta ratio (modified Lentz)."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, cap + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        step = d * c
+        h *= step
+        if abs(step - 1.0) < tol:
+            return h
+    raise ConvergenceError(
+        f"incomplete beta continued fraction did not converge within {cap} "
+        f"iterations (a={a}, b={b}, x={x})", a, b, x, cap)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import betainc as scipy_betainc
 
-from bound_oracles import (BinomialSpec, _log_pmf_many, binom_cdf, binom_pmf,
-                           binom_tv_halfsum, calibrate_alpha_bisection,
+from bound_oracles import (BinomialSpec, _log_pmf_many, betacf_int_counts, binom_cdf,
+                           binom_pmf, binom_tv_halfsum, calibrate_alpha_bisection,
                            product_deviation_sum, reg_inc_beta_via_binomial,
                            u_max_oracle)
 from debias import (ConvergenceError, ValidationError, alpha_max,
@@ -16,6 +16,7 @@ from debias import (ConvergenceError, ValidationError, alpha_max,
                     tv_bound_naive, u_value)
 from debias import bounds
 from debias.bounds import _log_pmf, _tv_slope
+from debias.stats import sweep
 
 
 def test_u_value_examples():
@@ -203,6 +204,51 @@ def test_reg_inc_beta_validation():
                     (0.3, 1, math.inf)):
         with pytest.raises(ValidationError, match="must be finite and > 0"):
             reg_inc_beta(x, a, b)
+    # here the front factor's products k (n-k) or n x leave the normal doubles
+    # (or vanish), so it adds logs; checked against 40-digit mpmath
+    import mpmath
+    for x, a, b in ((0.5, 1e-300, 1e-300), (1e-300, 1e-50, 1e-50), (5e-324, 1e-3, 1e-3),
+                    (5e-324, 1e-3, 1.2), (1e-320, 0.1, 0.1), (0.5, 1e-160, 1e-160),
+                    (0.3, 1e-320, 1e-320), (0.1, 1e-310, 5.0)):
+        with mpmath.workdps(40):
+            want = float(mpmath.betainc(a, b, 0, x, regularized=True))
+        assert reg_inc_beta(x, a, b) == pytest.approx(want, abs=1e-13), (x, a, b)
+    # huge shapes reach the continued fraction, which does not converge there
+    for a in (1e160, 1e200):
+        with pytest.raises(ConvergenceError, match=re.escape(f"a={a}, b={a}, x=0.5")):
+            reg_inc_beta(0.5, a, a)
+
+
+def _outcome(f, *args):
+    """f's value, or the text and parameters of its ConvergenceError."""
+    try:
+        return f(*args)
+    except ConvergenceError as e:
+        return (str(e), e.args, e.a, e.b, e.x, e.iterations)
+
+
+def test_betacf_float_counts_match_int_counts():
+    rng = np.random.default_rng(29)
+    values = capped = 0
+    for _ in range(700):
+        if rng.random() < 0.5:  # int shapes, as binom_tv passes them, up to 2**52
+            a, b = (int(rng.integers(1, 2 ** int(rng.integers(1, 53)), endpoint=True))
+                    for _ in range(2))
+        else:  # real shapes from 1e-3 to 1e8
+            a, b = (float(10 ** rng.uniform(-3, 8)) for _ in range(2))
+        switch = (a + 1.0) / (a + b + 2.0)  # reg_inc_beta's symmetry switch
+        xs = (switch * rng.uniform(0.5, 1.0), switch + (1.0 - switch) * rng.uniform(0.0, 0.5),
+              a / (a + b) + rng.uniform(-1e-3, 1e-3))  # near the mean: the cap
+        for x in (min(max(float(x), 1e-300), 1.0 - 2 ** -53) for x in xs):
+            want = _outcome(betacf_int_counts, a, b, x)
+            got = _outcome(bounds._betacf, a, b, x)
+            if isinstance(want, float) and math.isnan(want):
+                assert isinstance(got, float) and math.isnan(got), (a, b, x)
+                continue
+            assert got == want, (a, b, x)
+            capped += isinstance(want, tuple)
+            values += isinstance(want, float)
+    assert capped > 100 and values > 1000
 
 
 def test_convergence_error_carries_parameters():
@@ -354,6 +400,22 @@ def test_block_length_must_be_a_positive_integer(bad):
             call()
 
 
+def test_exact_route_refuses_m_above_2_53():
+    # above 2**53 the binomial shapes and the crossing index are not exact floats
+    for big in (2**53 + 1, 10**155, 10**309, np.uint64(2**63)):
+        calls = [lambda: tv_bound_exact(big, 0.5), lambda: binom_tv(big, 0.5, 0.1),
+                 lambda: crossing_index(big, 0.5, 0.1), lambda: calibrate_alpha(big, 0.01),
+                 lambda: sweep([big], [0.5])]
+        for call in calls:
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"= {int(big)} exceeds 2**53, the exact route's limit")):
+                call()
+    assert tv_bound_exact(2**53, 0.5) == 1.0
+    # the naive and linear bounds take any m
+    assert tv_bound_naive(10**155, 0.5) == math.inf
+    assert linear_bound(10**155, 1e-80) == pytest.approx(1e-80 * math.sqrt(1e155 / (2 * math.pi)))
+
+
 def test_block_length_takes_numpy_integers():
     assert tv_bound_exact(np.int64(2), 0.2) == tv_bound_exact(2, 0.2)
     assert crossing_index(np.uint32(100), 0.5, 0.05) == 53
@@ -422,9 +484,9 @@ def test_calibrate_alpha_evaluation_count(monkeypatch):
     calls = []
     exact = bounds.tv_bound_exact
 
-    def counted(m, alpha):
+    def counted(m, alpha, *, _tails=None):
         calls.append(alpha)
-        return exact(m, alpha)
+        return exact(m, alpha, _tails=_tails)
 
     monkeypatch.setattr(bounds, "tv_bound_exact", counted)
     per_call = []
@@ -435,8 +497,48 @@ def test_calibrate_alpha_evaluation_count(monkeypatch):
         except ConvergenceError:
             pass
         per_call.append(len(calls))
+    assert min(per_call) >= 1  # a stand-in the solver never calls counts nothing
     assert np.mean(per_call) <= 6.0
     assert max(per_call) <= 35  # bisection's count from (0, 1 - 1e-9) to 1e-10
+
+
+_SWEEP_MS = (3, 4, 100, 101, 10**4, 10**6)  # m and m + 1 share crossing indices
+_SWEEP_ALPHAS = np.logspace(-6, math.log10(0.5), 40)
+
+
+def test_half_tail_store_changes_no_result(monkeypatch):
+    # the large-m points raise the known ConvergenceError
+    grid = _calibration_grid() + [(3162278, 0.01), (10**8, 0.3), (10**9, 0.5)]
+    reused = [_outcome(calibrate_alpha, m, rho) for m, rho in grid]
+    rows = [r.tv_exact for r in sweep(_SWEEP_MS, _SWEEP_ALPHAS)]
+    exact = bounds.tv_bound_exact
+    monkeypatch.setattr(bounds, "tv_bound_exact",
+                        lambda m, alpha, *, _tails=None: exact(m, alpha))
+    assert reused == [_outcome(calibrate_alpha, m, rho) for m, rho in grid]
+    # both terms fail there; the upper one, at x != 1/2, is evaluated first
+    assert [r[4] != 0.5 for r in reused if isinstance(r, tuple)] == [True] * 3
+    assert rows == [exact(m, float(a)) for m in _SWEEP_MS for a in _SWEEP_ALPHAS]
+
+
+def test_half_tail_store_evaluates_each_index_once(monkeypatch):
+    ells = []
+    inc = bounds.reg_inc_beta
+
+    def counted(x, a, b):
+        if x == 0.5:  # the half-tail I_{1/2}(l, m-l+1), l = a
+            ells.append(a)
+        return inc(x, a, b)
+
+    monkeypatch.setattr(bounds, "reg_inc_beta", counted)
+    solves = [lambda m=m, rho=rho: calibrate_alpha(m, rho) for m, rho in _calibration_grid()]
+    solves += [lambda m=m: sweep([m], _SWEEP_ALPHAS) for m in _SWEEP_MS]
+    total = 0
+    for solve in solves:
+        del ells[:]
+        _outcome(solve)
+        assert len(ells) == len(set(ells)), ells
+        total += len(ells)
+    assert total > 1000
 
 
 def test_tv_slope_matches_finite_difference():

@@ -30,6 +30,13 @@ def test_tv_matches_library(capsys):
     assert out == f"{tv_bound_exact(2, 0.2):.12g}" == "0.11"
     assert run(["tv", "--m", "100", "--alpha", "0.01", "--method", "linear"]) == 0
     assert capsys.readouterr().out.strip() == f"{bounds.linear_bound(100, 0.01):.12g}"
+    # only the exact route stops at m = 2**53
+    big = str(10**155)
+    assert run(["tv", "--m", big, "--alpha", "0.5", "--method", "naive"]) == 0
+    assert capsys.readouterr().out.strip() == "inf"
+    assert run(["calibrate", "--m", big, "--rho", "0.01", "--method", "linear"]) == 0
+    want = bounds.linear_alpha_for_rho(10**155, 0.01)
+    assert capsys.readouterr().out.strip() == f"alpha {want:.12g}"
 
 
 def test_calibrate_output(capsys):
@@ -383,6 +390,17 @@ def test_exit_codes(tmp_path, capsys):
     # no flag is taken for a prefix of another
     (["tv", "--m", "2", "--alph", "0.2"],
      "debias tv: error: the following arguments are required: --alpha"),
+    # the exact route stops at m = 2**53; these raised a traceback before it
+    (["tv", "--m", str(10**155), "--alpha", "0.5"],
+     f"m = {10**155} exceeds 2**53, the exact route's limit"),
+    (["sweep", "--m-list", str(10**200), "-o", "{out}"],
+     f"m = {10**200} exceeds 2**53, the exact route's limit"),
+    (["tv", "--m", str(10**309), "--alpha", "0.5"],
+     f"m = {10**309} exceeds 2**53, the exact route's limit"),
+    (["calibrate", "--m", str(10**307), "--rho", "0.01"],
+     f"m = {10**307} exceeds 2**53, the exact route's limit"),
+    (["tv", "--m", str(2**53 + 1), "--alpha", "0.5"],
+     f"m = {2**53 + 1} exceeds 2**53, the exact route's limit"),
 ])
 def test_bad_arguments_fail_fast(argv, needle, tmp_path, capsys):
     bits = tmp_path / "four.txt"

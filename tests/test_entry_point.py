@@ -18,7 +18,13 @@ from child import run_cli
     (["calibrate", "--method", "naive", "--m", "1", "--rho", "1e308"], "error:"),
     # argparse's usage error: its usage line comes before its "error:" line
     (["tv", "--m", "2", "--alph", "0.2"], "usage: debias tv"),
-], ids=["analyze-max-m", "nan-pairs", "nan-period", "nan-trace", "naive-rho", "abbreviated-flag"])
+    # m past the exact route's limit 2**53
+    (["tv", "--m", str(10**155), "--alpha", "0.5"], "error:"),
+    (["sweep", "--m-list", str(10**200), "-o", "{out}"], "error:"),
+    (["tv", "--m", str(10**309), "--alpha", "0.5"], "error:"),
+    (["calibrate", "--m", str(10**307), "--rho", "0.01"], "error:"),
+], ids=["analyze-max-m", "nan-pairs", "nan-period", "nan-trace", "naive-rho", "abbreviated-flag",
+        "tv-m-1e155", "sweep-m-1e200", "tv-m-1e309", "calibrate-m-1e307"])
 def test_refused_command_exits_1(argv, start, tmp_path):
     bits = tmp_path / "forty.txt"
     bits.write_text("0110" * 10)
