@@ -27,6 +27,7 @@ import io
 import re
 import struct
 from collections.abc import Iterable
+from itertools import repeat
 from numbers import Real
 
 import numpy as np
@@ -327,6 +328,14 @@ class BitString:
     def _of(cls, b: bytes) -> "BitString":
         out = cls.__new__(cls)
         out._b = b
+        return out
+
+    @classmethod
+    def _many(cls, rows: list) -> "list[BitString]":
+        """One instance per ``bytes`` of ``rows``, made and filled by C-level
+        maps with no Python frame per member."""
+        out = list(map(object.__new__, repeat(cls, len(rows))))
+        any(map(cls._b.__set__, out, rows))  # each set returns None
         return out
 
     @classmethod

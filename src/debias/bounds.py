@@ -142,9 +142,13 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
+    # a front factor of 0.0 makes the tail 0.0, and the continued fraction,
+    # which need not converge there, is not run
     if x < (a + 1.0) / (a + b + 2.0):
-        return _front_over_a(x, a, b) * _betacf(a, b, x)
-    return 1.0 - _front_over_a(1.0 - x, b, a) * _betacf(b, a, 1.0 - x)
+        front = _front_over_a(x, a, b)
+        return front * _betacf(a, b, x) if front else 0.0
+    front = _front_over_a(1.0 - x, b, a)
+    return 1.0 - front * _betacf(b, a, 1.0 - x) if front else 1.0
 
 
 def _exact_n(name: str, n) -> int:

@@ -15,6 +15,7 @@ whole.
 
 from __future__ import annotations
 
+import gc
 from itertools import combinations
 
 import numpy as np
@@ -53,7 +54,9 @@ def vn_preimage(y: BitString, n: int) -> set[BitString]:
     slot; for odd n either trailing bit follows.  The C(n//2, m) slot choices
     times 2^(n//2 - m) fillings are built as uint8 matrices of about 2^10
     rows (whole slot choices); one void-dtype view of each matrix gives its
-    rows as ``bytes`` in a single ``tolist`` call.
+    rows as ``bytes`` in a single ``tolist`` call, and ``BitString._many``
+    makes their members at C level.  The cyclic collector is paused for the
+    build, so what remains per member is one Python ``__hash__`` call.
     """
     m = len(y)
     n = _check_enum_guard(n, "n", 2 * m)  # 2m bits hold m unequal pairs
@@ -66,22 +69,30 @@ def vn_preimage(y: BitString, n: int) -> set[BitString]:
     fill = rank_bits(0, 1 << gaps, gaps).T  # fill[s, j]: bit of gap s in filling j
     out = set()
     step = max(1, _PREIMAGE_ROWS >> gaps)  # slot choices per block
-    for lo in range(0, len(unequal), step):
-        u = unequal[lo:lo + step]
-        # first[c, s, j]: first bit of slot s under slot choice c and filling j
-        first = np.empty((len(u), pairs, 1 << gaps), dtype=np.uint8)
-        first[u] = np.tile(y.to_array(), len(u))[:, None]
-        first[~u] = np.tile(fill, (len(u), 1))
-        body = np.empty((len(u), 1 << gaps, pairs, 2), dtype=np.uint8)
-        body[..., 0] = first.transpose(0, 2, 1)
-        body[..., 1] = body[..., 0] ^ u[:, None, :]
-        body = body.reshape(len(u) << gaps, 2 * pairs)
-        if n % 2:
-            rows = np.empty((len(body), 2, n), dtype=np.uint8)
-            rows[..., :-1] = body[:, None, :]
-            rows[..., -1] = (0, 1)
-            body = rows.reshape(2 * len(body), n)
-        out.update(map(BitString._of, body.view(f"V{n}").ravel().tolist()))
+    # every member lives until the set is returned and none is in a cycle,
+    # so a cyclic collection during the build could free nothing
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for lo in range(0, len(unequal), step):
+            u = unequal[lo:lo + step]
+            # first[c, s, j]: first bit of slot s under slot choice c and filling j
+            first = np.empty((len(u), pairs, 1 << gaps), dtype=np.uint8)
+            first[u] = np.tile(y.to_array(), len(u))[:, None]
+            first[~u] = np.tile(fill, (len(u), 1))
+            body = np.empty((len(u), 1 << gaps, pairs, 2), dtype=np.uint8)
+            body[..., 0] = first.transpose(0, 2, 1)
+            body[..., 1] = body[..., 0] ^ u[:, None, :]
+            body = body.reshape(len(u) << gaps, 2 * pairs)
+            if n % 2:
+                rows = np.empty((len(body), 2, n), dtype=np.uint8)
+                rows[..., :-1] = body[:, None, :]
+                rows[..., -1] = (0, 1)
+                body = rows.reshape(2 * len(body), n)
+            out.update(BitString._many(body.view(f"V{n}").ravel().tolist()))
+    finally:
+        if enabled:
+            gc.enable()
     return out
 
 

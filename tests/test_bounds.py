@@ -213,6 +213,14 @@ def test_reg_inc_beta_validation():
         with mpmath.workdps(40):
             want = float(mpmath.betainc(a, b, 0, x, regularized=True))
         assert reg_inc_beta(x, a, b) == pytest.approx(want, abs=1e-13), (x, a, b)
+    # a front factor of exactly 0.0 gives 0.0, or 1.0 on the symmetric branch,
+    # with no continued fraction; mpmath's own route loses I_x near x = 1, so
+    # that mirror is checked as 1 - I_{1-x}(b, a)
+    for x, a, b in ((1e-5, 1e200, 1e200), (0.3, 1e155, 1e155), (1 - 1e-5, 1e200, 1e200)):
+        with mpmath.workdps(40):
+            want = (mpmath.betainc(a, b, 0, x, regularized=True) if x < 0.5 else
+                    1 - mpmath.betainc(b, a, 0, 1 - mpmath.mpf(x), regularized=True))
+        assert reg_inc_beta(x, a, b) == float(want) == round(x), (x, a, b)
     # huge shapes reach the continued fraction, which does not converge there
     for a in (1e160, 1e200):
         with pytest.raises(ConvergenceError, match=re.escape(f"a={a}, b={a}, x=0.5")):

@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from debias import (DistributionTable, MarkovExperiment, ValidationError,
+from debias import (DistributionTable, MarkovExperiment, MarkovSource, ValidationError,
                     exact_source_dist, normalized_dist, random_markov_source,
                     run_markov_experiment, total_variation, uniform_dist,
                     write_markov_csv)
+from debias.bits import format_bits
 from debias.markov import MarkovResult, _output_counts
 from string_oracles import markov_csv
 
@@ -30,18 +31,23 @@ def matrix_trials(source, n, trials, seed):
     return bits
 
 
-def matrix_dist(bits, m):
-    """Frequency table of the row-wise von Neumann outputs of length exactly
-    m and their number; an odd last column is dropped, as it is never paired."""
+def matrix_codes(bits, m):
+    """The MSB-first values of the row-wise von Neumann outputs of length
+    exactly m; an odd last column is dropped, as it is never paired."""
     bits = bits[:, :bits.shape[1] // 2 * 2]
     a = bits[:, 0::2]
     keep = a != bits[:, 1::2]
     accepted = keep.sum(axis=1) == m
-    count = int(accepted.sum())
+    kept = a[accepted][keep[accepted]].reshape(-1, m)
+    return kept @ (1 << np.arange(m - 1, -1, -1))
+
+
+def matrix_dist(bits, m):
+    """Frequency table of :func:`matrix_codes` and their number."""
+    vals = matrix_codes(bits, m)
+    count = len(vals)
     if count == 0:
         return None, 0
-    kept = a[accepted][keep[accepted]].reshape(count, m)
-    vals = kept @ (1 << np.arange(m - 1, -1, -1))
     return DistributionTable(m, np.bincount(vals, minlength=1 << m) / count), count
 
 
@@ -142,6 +148,22 @@ def test_one_pass_matches_matrix_oracle(k, m):
             continue
         assert np.array_equal(counts / count, want.probs)
         assert res.tv_empirical == total_variation(want, uniform_dist(m))
+
+
+@pytest.mark.parametrize("n", [60, 61])
+def test_one_pass_matches_matrix_oracle_at_dtype_edges(n):
+    # k = 16 wraps the 2-byte history on every shift, and m = 26 fills the
+    # widest code; after its first k bits, drawn at p0, the source flips its
+    # last bit with probability 0.98, so many runs keep exactly 26 pairs
+    k, m, trials, seed = 16, 26, 3000, 7
+    table = {format_bits(h, k): 0.98 if h & 1 else 0.02 for h in range(1 << k)}
+    source = MarkovSource(k=k, kappa=0.48, p0=0.5, table=table)
+    codes, want = np.unique(matrix_codes(matrix_trials(source, n, trials, seed), m),
+                            return_counts=True)
+    counts = _output_counts(source, n, m, trials, seed)
+    got = np.flatnonzero(counts)
+    assert len(codes) > trials // 10
+    assert np.array_equal(got, codes) and np.array_equal(counts[got], want)
 
 
 def test_odd_n_drops_its_last_bit():

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -114,6 +115,49 @@ def test_vn_preimage_members_are_plain_bitstrings(rows, monkeypatch):
             plain = BitString(s.to01())
             assert s == plain and hash(s) == hash(plain)
     assert vn_preimage(BitString(""), 0) == {BitString("")}
+
+
+@pytest.mark.parametrize("rows", [[], [b"\x00\x01\x01"], [b"", b""], [b"\x01", b"\x00\x00"]])
+def test_many_builds_plain_bitstrings(rows):
+    got = BitString._many(rows)
+    assert [s._b for s in got] == rows
+    for s in got:
+        assert type(s) is BitString
+        plain = BitString(s.to01())
+        assert s == plain and hash(s) == hash(plain)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """The collector switched as the test sets it, and restored afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_vn_preimage_leaves_the_collector_as_it_was(collector, monkeypatch):
+    assert len(vn_preimage(BitString("01"), 9)) == math.comb(4, 2) * 2 ** 2 * 2
+    assert gc.isenabled() is collector
+    # the guards raise before the pause
+    for y, n in (("01", 3), ("0", 27)):
+        with pytest.raises(ValidationError):
+            vn_preimage(BitString(y), n)
+        assert gc.isenabled() is collector
+    # a build that fails on its second block; the collector is paused in it
+    many, calls = BitString._many, []
+
+    def failing(rows):
+        calls.append(gc.isenabled())
+        if len(calls) == 2:
+            raise MemoryError("second block")
+        return many(rows)
+
+    monkeypatch.setattr("debias.normalize._PREIMAGE_ROWS", 4)
+    monkeypatch.setattr(BitString, "_many", failing)
+    with pytest.raises(MemoryError, match="second block"):
+        vn_preimage(BitString("01"), 9)
+    assert calls == [False, False] and gc.isenabled() is collector  # paused in the build
 
 
 @pytest.mark.parametrize("n, y", [(21, "101"), (21, ""), (22, "0110"),
