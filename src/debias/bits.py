@@ -370,9 +370,7 @@ class BitString:
         return self._b.translate(_ENCODE).decode("ascii")
 
     def count(self, bit: int) -> int:
-        if bit not in (0, 1):
-            raise ValidationError(f"illegal bit value {bit!r}")
-        return self._b.count(bit)
+        return self._b.count(_integer("bit", bit, 0, 1))
 
     def __len__(self) -> int:
         return len(self._b)

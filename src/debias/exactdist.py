@@ -28,12 +28,6 @@ if TYPE_CHECKING:
 _INDEPENDENCE_TOL = 1e-12  # absolute slack of check_independence
 
 
-def _enumerable(n: int, k: int, m: int) -> bool:
-    """Whether :func:`normalized_dist` fits the guard for an n-bit run, a k-bit
-    history and m output bits: n <= MAX_ENUM_N and k + m + 1 <= MAX_ENUM_N."""
-    return n <= MAX_ENUM_N and k + m + 1 <= MAX_ENUM_N
-
-
 class DistributionTable:
     """Probabilities for every string of one fixed length, summing to 1."""
 
@@ -157,7 +151,7 @@ def normalized_dist(spec: SourceSpec, n: int, m: int) -> DistributionTable:
     m = _integer("m", m, 1, n // 2, f"n // 2 = {n // 2}")
     # k is known before the masses are built, so a refused call builds none
     k = spec.k if isinstance(spec, MarkovSource) else 0
-    if not _enumerable(n, k, m):
+    if k + m + 1 > MAX_ENUM_N:
         raise ValidationError(f"state of 2^{k + m + 1} entries exceeds the guard "
                               f"k + m + 1 <= {MAX_ENUM_N}")
     _, q = _pair_masses(spec, n)

@@ -7,7 +7,7 @@ asserted against a target: the harness draws a kappa-banded conditional table
 from the experiment seed, estimates the distance from independent n-bit runs
 (one pass over the columns, memory O(samples) for any n, odd n included,
 m <= 26), and computes the exact conditional distribution from the source's
-pair masses whenever n <= 26 and k + m + 1 <= 26.
+pair masses whenever n <= 26 and its forward pass fits MAX_EXACT_STATE.
 """
 
 from __future__ import annotations
@@ -20,15 +20,18 @@ import numpy as np
 
 from .bits import _write_rows, format_bits
 from .errors import _integer
-from .exactdist import (DistributionTable, _enumerable, normalized_dist, total_variation,
-                        uniform_dist)
-from .params import _check_enum_guard
+from .exactdist import DistributionTable, normalized_dist, total_variation, uniform_dist
+from .params import MAX_ENUM_N, _check_enum_guard
 from .sources import MarkovSource, check_markov_k
 
 # the sampler keeps a few 2- and 4-byte arrays of one entry per trial, and its
 # run time grows with n * samples: about 1.4 s and 82 MiB at n = 100, 10^6 trials
 MAX_MARKOV_SAMPLES = 10 ** 6
 MAX_MARKOV_WORK = 10 ** 9
+
+# floats per array of the exact column's forward pass, 2^(max(k, 2) + m + 1),
+# at most: 8 MiB each.  Past it tv_exact is not computed, as past n = 26
+MAX_EXACT_STATE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -108,12 +111,13 @@ def _output_counts(source: MarkovSource, n: int, m: int, trials: int,
 
 def run_markov_experiment(exp: MarkovExperiment) -> MarkovResult:
     """Estimate the distance between the normalized output and uniform, and
-    compute it exactly within the guards n <= 26 and k + m + 1 <= 26."""
+    compute it exactly when n <= 26 and the forward pass's state of
+    2^(max(k, 2) + m + 1) floats fits MAX_EXACT_STATE."""
     source = random_markov_source(exp.k, exp.kappa, exp.p0, exp.seed)
     uniform = uniform_dist(exp.m)
 
-    tv_exact = (total_variation(normalized_dist(source, exp.n, exp.m), uniform)
-                if _enumerable(exp.n, exp.k, exp.m) else None)
+    fits = exp.n <= MAX_ENUM_N and 1 << (max(exp.k, 2) + exp.m + 1) <= MAX_EXACT_STATE
+    tv_exact = total_variation(normalized_dist(source, exp.n, exp.m), uniform) if fits else None
 
     counts = _output_counts(source, exp.n, exp.m, exp.samples, exp.seed)
     accepted = int(counts.sum())

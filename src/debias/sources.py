@@ -51,6 +51,10 @@ _FEW = 32
 # each summed from 0, reach a wall
 _WALLS = 0.75
 
+# blocks of the walk summed from 0 at a time to see which reach a wall:
+# as many floats as the longest window of running sums in _walk_run
+_REACH = 16
+
 # steps per running sum of a walk with no clamp in sight, at most
 _WINDOW = 1 << 14
 
@@ -293,36 +297,34 @@ class DriftingSource:
         return eps
 
 
-def _walk(w: np.ndarray, guess: np.ndarray, beta: float) -> None:
+def _walk(w: np.ndarray, beta: float) -> None:
     """Walk in place.  On entry w[0] is the start offset and w[i + 1] is
     step i; on exit w[i] is the offset after i steps of
     eps -> min(beta, max(-beta, eps + step)), bit-identical to running that
-    recurrence one step at a time.  ``guess`` is a (lanes, _BLOCK + 1)
-    scratch buffer and ``len(w) == lanes * _BLOCK + 1``.
+    recurrence one step at a time.  ``len(w) - 1`` is a multiple of
+    ``_BLOCK``.
 
     Between clamps the walk is a running sum (``np.cumsum`` adds left to
-    right, as the loop did).  One ``np.cumsum`` along the rows of ``guess``
-    first sums each block of ``_BLOCK`` steps from 0.  A block whose sum
-    never reaches a wall never clamps, so a walk guessed from 0 there
-    cannot meet the true walk from another start.  Unless more than a share
-    ``_WALLS`` of the blocks reach a wall, the guesses are dropped and the
-    walk runs from the true start through the chunk (:func:`_walk_run`).
-    Otherwise one lockstep pass walks block 0 from the true start and every
-    other block from a guessed start of 0, and the blocks are repaired in
-    order from the true start.  The step map is monotone and deterministic,
-    so once the true walk meets the guessed one the rest of the block is
-    already right; a walk that clamps often meets its guess in few steps.
+    right, as the loop did).  Each block of ``_BLOCK`` steps is first summed
+    from 0 (:func:`_reaching`).  A block whose sum never reaches a wall
+    never clamps, so a walk guessed from 0 there cannot meet the true walk
+    from another start.  Unless more than a share ``_WALLS`` of the blocks
+    reach a wall, the walk runs in place from the true start through the
+    chunk (:func:`_walk_run`).  Otherwise a (blocks, ``_BLOCK`` + 1) buffer
+    of guesses is made, and one lockstep pass walks block 0 from the true
+    start and every other block from a guessed start of 0; the blocks are
+    then repaired in order from the true start.  The step map is monotone
+    and deterministic, so once the true walk meets the guessed one the rest
+    of the block is already right; a walk that clamps often meets its guess
+    in few steps.
     """
-    lanes = len(guess)
+    lanes = (len(w) - 1) // _BLOCK
     steps = w[1:].reshape(lanes, _BLOCK)
-    np.cumsum(steps, axis=1, out=guess[:, 1:])
-    reach = (guess[:, 1:].max(axis=1) >= beta) | (guess[:, 1:].min(axis=1) <= -beta)
-    if np.count_nonzero(reach) <= _WALLS * lanes:
-        flat = guess.reshape(-1)[:len(w)]
-        flat[:] = w  # the steps, kept while w takes the walk
-        _walk_run(w, flat, float(w[0]), beta)
+    if _reaching(steps, beta) <= _WALLS * lanes:
+        _walk_run(w, w, float(w[0]), beta, np.empty(min(len(w) - 1, _WINDOW) + 1))
         return
     # guess[j, t] is the offset after j * _BLOCK + t steps, walked from guess[j, 0]
+    guess = np.empty((lanes, _BLOCK + 1))
     guess[:, 0] = 0.0
     guess[0, 0] = w[0]
     nxt = np.empty(lanes)
@@ -332,12 +334,24 @@ def _walk(w: np.ndarray, guess: np.ndarray, beta: float) -> None:
         nxt[nxt >= beta] = beta
         guess[:, t + 1] = nxt
     # block 0 is already right; block j starts at block j-1's end
+    scratch = np.empty(_BLOCK + 1)
     for j in range(1, lanes):
         _walk_run(guess[j], w[j * _BLOCK:(j + 1) * _BLOCK + 1], float(guess[j - 1, _BLOCK]),
-                  beta, meet=True)
+                  beta, scratch, meet=True)
     # every step is used, so w takes the walk
     w[:-1].reshape(lanes, _BLOCK)[:] = guess[:, :-1]
     w[-1] = guess[-1, -1]
+
+
+def _reaching(steps: np.ndarray, beta: float) -> int:
+    """How many rows of ``steps``, each summed from 0, reach a wall.  The
+    rows are summed ``_REACH`` at a time in one buffer, freed on return."""
+    sums = np.empty((min(len(steps), _REACH), steps.shape[1]))
+    reach = 0
+    for r in range(0, len(steps), _REACH):
+        part = np.cumsum(steps[r:r + _REACH], axis=1, out=sums[:len(steps) - r])
+        reach += int(np.count_nonzero((part.max(axis=1) >= beta) | (part.min(axis=1) <= -beta)))
+    return reach
 
 
 def _same(a: float, b: float) -> bool:
@@ -346,18 +360,22 @@ def _same(a: float, b: float) -> bool:
 
 
 def _walk_run(out: np.ndarray, steps: np.ndarray, e: float, beta: float,
-              meet: bool = False) -> None:
+              scratch: np.ndarray, meet: bool = False) -> None:
     """out[i] = the offset after i of the steps steps[1], steps[2], ...,
-    walked from out[0] = e; steps[i] is overwritten once offset i is known.
-    With ``meet``, ``out`` holds a guessed walk on entry, and the run stops
-    where it meets that walk bit for bit, at a clamp or in the steps walked
-    one at a time after one: the rest of ``out`` is then already right.
+    walked from out[0] = e; steps[i] is overwritten once offset i is known,
+    and ``steps`` may be ``out`` itself, to walk in place.  With ``meet``,
+    ``out`` holds a guessed walk on entry, and the run stops where it meets
+    that walk bit for bit, at a clamp or in the steps walked one at a time
+    after one: the rest of ``out`` is then already right.
 
     The walk is a running sum up to its next clamp, taken over windows of
     ``_BLOCK`` steps that double, up to ``_WINDOW``, while no clamp comes.
-    Clamps come in runs at a wall, so after one the next ``_SCALAR`` steps
-    at most are walked as Python floats, until ``_SCALAR // 2`` in a row do
-    not clamp.
+    Each window is summed into ``scratch``, of at least
+    ``min(len(out) - 1, _WINDOW) + 1`` floats, and only the sums before its
+    first clamp are copied out, so the steps past a clamp are still there
+    to be read.  Clamps come in runs at a wall, so after one the next
+    ``_SCALAR`` steps at most are walked as Python floats, until
+    ``_SCALAR // 2`` in a row do not clamp.
     """
     n, t, m = len(out) - 1, 0, _BLOCK
     out[0] = e
@@ -366,16 +384,14 @@ def _walk_run(out: np.ndarray, steps: np.ndarray, e: float, beta: float,
         # next clamp (with ``meet``, out holds the guess beyond t)
         m = min(m, n - t)
         steps[t] = e
-        sums = np.cumsum(steps[t:t + m + 1], out=None if meet else out[t:t + m + 1])[1:]
+        sums = np.cumsum(steps[t:t + m + 1], out=scratch[:m + 1])[1:]
         hit = np.abs(sums) >= beta
         c = int(np.argmax(hit))
         if not hit[c]:
-            if meet:
-                out[t + 1:t + m + 1] = sums
+            out[t + 1:t + m + 1] = sums
             t, e, m = t + m, float(sums[-1]), min(2 * m, _WINDOW)
             continue
-        if meet:
-            out[t + 1:t + 1 + c] = sums[:c]
+        out[t + 1:t + 1 + c] = sums[:c]
         t, e = t + c + 1, beta if sums[c] >= beta else -beta
         if meet and _same(e, float(out[t])):
             return
@@ -513,9 +529,8 @@ def _walk_chunks(params: DriftParams, n: int, rng):
         steps *= delta - -delta
         steps += -delta
         # past step s, w holds the last chunk's steps: they move only
-        # offsets that are never read.  The lockstep guesses are freed
-        # before the chunk is handed out.
-        _walk(w[:rows * _BLOCK + 1], np.empty((rows, _BLOCK + 1)), beta)
+        # offsets that are never read
+        _walk(w[:rows * _BLOCK + 1], beta)
         yield w[1 - first:s + 1]
         w[0] = w[s]
 

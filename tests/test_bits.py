@@ -21,9 +21,10 @@ def test_count_examples():
         x = BitString.from_array(rng.integers(0, 2, n, dtype=np.uint8))
         for bit in (0, 1):
             assert x.count(bit) == count_bits(x, bit)
-    for bad in (2, -1):
-        with pytest.raises(ValidationError):
+    for bad in (2, -1, 1.0, 0.0, "1", None):
+        with pytest.raises(ValidationError, match=r"bit must be an integer in \[0, 1\]"):
             BitString("01").count(bad)
+    assert BitString("011").count(np.uint8(1)) == 2
 
 
 def test_count_partition():

@@ -458,6 +458,19 @@ def test_size_limits_fail_fast_in_a_bounded_child(argv, needle, tmp_path):
     assert done.stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("m, n", [(8, 22), (9, 26)])
+def test_markov_exact_column_past_its_budget_in_a_bounded_child(m, n, tmp_path):
+    # k = 16 within the guard k + m + 1 <= 26: a forward pass of 2^25 or
+    # 2^26 floats per array would take about 0.6 or 1.2 GiB, so the
+    # explorer leaves tv_exact out rather than run out of memory
+    out = tmp_path / "out.csv"
+    done = run_cli("markov", "--k", "16", "--kappa", "0.05", "--m", str(m), "-n", str(n),
+                   "--samples", "10", "-o", str(out))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.startswith("tv_exact n/a  tv_empirical ")
+    assert out.read_text().splitlines()[1].startswith(f"16,0.05,{m},{n},,")
+
+
 def test_module_runs_as_script():
     done = run_cli("tv", "--m", "2", "--alpha", "0.2")
     assert (done.returncode, done.stdout, done.stderr) == (0, "0.11\n", "")

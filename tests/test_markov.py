@@ -222,6 +222,10 @@ def test_exact_skipped_beyond_guard():
     # within n <= 26 but beyond the state guard k + m + 1 <= 26
     exp = MarkovExperiment(k=13, kappa=0.02, m=13, n=26, samples=200, seed=2)
     assert run_markov_experiment(exp).tv_exact is None
+    # within both guards, at and past the budget of 2^20 floats per array
+    at = MarkovExperiment(k=10, kappa=0.02, m=9, n=26, samples=200, seed=2)
+    assert run_markov_experiment(at).tv_exact is not None
+    assert run_markov_experiment(dataclasses.replace(at, m=10)).tv_exact is None
 
 
 def test_markov_csv():

@@ -568,16 +568,20 @@ def test_trace_writer_memory_is_per_block():
 
 
 @pytest.mark.parametrize("spec, limit_mib", [
-    (DriftingSource(DriftParams(0.55, 0.05, 1e-4), trajectory="walk"), 5.13 + 0.75),
+    (DriftingSource(DriftParams(0.55, 0.05, 1e-4), trajectory="walk"), 2.66 + 0.75),
+    (DriftingSource(DriftParams(0.55, 0.05, 1e-3), trajectory="walk"), 2.66 + 0.75),
     (DriftingSource(DriftParams(0.55, 0.05, 0.05), trajectory="walk"), 4.40 + 0.75),
     (next(s for s in _markov_specs() if s.k == 3), 2.76 + 0.75),
     (next(s for s in _markov_specs() if s.k == 16), 4.76 + 0.75),
-], ids=["walk-delta1e-4", "walk-delta0.05", "markov-k3", "markov-k16"])
+], ids=["walk-delta1e-4", "walk-delta1e-3", "walk-delta0.05", "markov-k3", "markov-k16"])
 def test_chunk_memory_does_not_grow_per_chunk(spec, limit_mib):
     # a 10^6-bit run is four chunks; each reuses the buffers of the one
     # before, so a per-chunk copy of the draws (2 MiB) or a second buffer
-    # of guesses shows.  The limits are the peaks measured before the
-    # Markov lanes shrank to _LANE draws, plus 0.75 MiB
+    # of guesses shows.  Each limit is a measured peak plus 0.75 MiB.  The
+    # walk at delta 1e-4 and 1e-3 runs in place and makes no guesses: 2.66
+    # MiB, against 4.55 and 4.53 while every chunk came with a (blocks,
+    # _BLOCK + 1) buffer.  At delta 0.05 it takes the lockstep pass.  The
+    # Markov limits are from before its lanes shrank to _LANE draws
     tracemalloc.start()
     try:
         for _ in sources._chunks(spec, 10**6, 17):
