@@ -134,7 +134,8 @@ def _front_over_a(x: float, a: float, b: float) -> float:
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b) to ~1e-13 absolute accuracy."""
+    """Regularized incomplete beta I_x(a, b) to ~1e-13 absolute accuracy,
+    clamped to [0, 1], which that error can leave at tiny shapes."""
     _interval("x", x, 0, 1, "[]")
     _interval("shape a", a, 0, math.inf)
     _interval("shape b", b, 0, math.inf)
@@ -146,9 +147,11 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     # which need not converge there, is not run
     if x < (a + 1.0) / (a + b + 2.0):
         front = _front_over_a(x, a, b)
-        return front * _betacf(a, b, x) if front else 0.0
-    front = _front_over_a(1.0 - x, b, a)
-    return 1.0 - front * _betacf(b, a, 1.0 - x) if front else 1.0
+        value = front * _betacf(a, b, x) if front else 0.0
+    else:
+        front = _front_over_a(1.0 - x, b, a)
+        value = 1.0 - front * _betacf(b, a, 1.0 - x) if front else 1.0
+    return min(max(value, 0.0), 1.0)
 
 
 def _exact_n(name: str, n) -> int:

@@ -5,9 +5,10 @@ depends on the previous k bits (within a kappa band around the base marginal)
 get to uniform?  No closed form is known, so results are *reported*, never
 asserted against a target: the harness draws a kappa-banded conditional table
 from the experiment seed, estimates the distance from independent n-bit runs
-(one pass over the columns, memory O(samples) for any n, odd n included,
-m <= 26), and computes the exact conditional distribution from the source's
-pair masses whenever n <= 26 and its forward pass fits MAX_EXACT_STATE.
+(one pass over the columns, memory O(samples) for any n and m <= 26, odd n
+included), and computes the exact conditional distribution from the source's
+pair masses whenever ``exactdist.normalized_dist`` takes the run (its limits
+MAX_EXACT_STATE and MAX_EXACT_WORK).
 """
 
 from __future__ import annotations
@@ -20,18 +21,14 @@ import numpy as np
 
 from .bits import _write_rows, format_bits
 from .errors import _integer
-from .exactdist import DistributionTable, normalized_dist, total_variation, uniform_dist
-from .params import MAX_ENUM_N, _check_enum_guard
+from .exactdist import _exact_excess, normalized_dist, total_variation, uniform_dist
+from .params import _check_enum_guard
 from .sources import MarkovSource, check_markov_k
 
 # the sampler keeps a few 2- and 4-byte arrays of one entry per trial, and its
 # run time grows with n * samples: about 1.4 s and 82 MiB at n = 100, 10^6 trials
 MAX_MARKOV_SAMPLES = 10 ** 6
 MAX_MARKOV_WORK = 10 ** 9
-
-# floats per array of the exact column's forward pass, 2^(max(k, 2) + m + 1),
-# at most: 8 MiB each.  Past it tv_exact is not computed, as past n = 26
-MAX_EXACT_STATE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -56,7 +53,7 @@ class MarkovExperiment:
         _integer("n * samples", n * samples, 1, MAX_MARKOV_WORK,
                  f"MAX_MARKOV_WORK = {MAX_MARKOV_WORK}")
         _integer("m", self.m, 1, n // 2, f"n // 2 = {n // 2}")
-        _check_enum_guard(self.m, "m")  # the 2^m-entry frequency table
+        _check_enum_guard(self.m, "m")  # as every table over m-bit strings
 
 
 @dataclass
@@ -84,10 +81,10 @@ def random_markov_source(k: int, kappa: float, p0: float, seed: int) -> MarkovSo
     return MarkovSource(k=k, kappa=kappa, p0=p0, table=table)
 
 
-def _output_counts(source: MarkovSource, n: int, m: int, trials: int,
-                   seed: int) -> np.ndarray:
-    """Count of each m-bit von Neumann output over the n-bit runs that give
-    exactly m bits.  Each run starts with an empty history (the first k bits
+def _kept_codes(source: MarkovSource, n: int, m: int, trials: int,
+                seed: int) -> np.ndarray:
+    """The m-bit von Neumann output, as an integer, of each n-bit run that
+    gives exactly m bits, in run order.  Each run starts with an empty history (the first k bits
     use p0) and keeps only its history, its open pair's first bit, its count
     of kept pairs and its last m kept bits.  An odd last bit is never drawn."""
     rng = np.random.default_rng([seed, 1])
@@ -106,23 +103,25 @@ def _output_counts(source: MarkovSource, n: int, m: int, trials: int,
             unequal = first ^ bit  # 1 where the pair is kept
             kept += unequal
             code = ((code << unequal) | (first & unequal)) & code_mask
-    return np.bincount(code[kept == m], minlength=1 << m)
+    return code[kept == m]
 
 
 def run_markov_experiment(exp: MarkovExperiment) -> MarkovResult:
     """Estimate the distance between the normalized output and uniform, and
-    compute it exactly when n <= 26 and the forward pass's state of
-    2^(max(k, 2) + m + 1) floats fits MAX_EXACT_STATE."""
+    compute it exactly when ``normalized_dist`` takes the run."""
     source = random_markov_source(exp.k, exp.kappa, exp.p0, exp.seed)
-    uniform = uniform_dist(exp.m)
+    tv_exact = (None if _exact_excess(exp.k, exp.n, exp.m) else total_variation(
+        normalized_dist(source, exp.n, exp.m), uniform_dist(exp.m)))
 
-    fits = exp.n <= MAX_ENUM_N and 1 << (max(exp.k, 2) + exp.m + 1) <= MAX_EXACT_STATE
-    tv_exact = total_variation(normalized_dist(source, exp.n, exp.m), uniform) if fits else None
-
-    counts = _output_counts(source, exp.n, exp.m, exp.samples, exp.seed)
-    accepted = int(counts.sum())
-    tv_emp = (total_variation(DistributionTable(exp.m, counts / accepted), uniform)
-              if accepted else math.nan)
+    codes = _kept_codes(source, exp.n, exp.m, exp.samples, exp.seed)
+    accepted = len(codes)
+    tv_emp = math.nan
+    if accepted:
+        # from the codes seen; each of the others is 2^-m from uniform
+        counts = np.unique(codes, return_counts=True)[1]
+        u = 0.5 ** exp.m
+        tv_emp = 0.5 * (float(np.abs(counts / accepted - u).sum())
+                        + ((1 << exp.m) - len(counts)) * u)
 
     return MarkovResult(k=exp.k, kappa=exp.kappa, m=exp.m, n=exp.n,
                         tv_exact=tv_exact, tv_empirical=tv_emp,

@@ -172,6 +172,26 @@ def test_reg_inc_beta_symmetry():
             1.0 - reg_inc_beta(1.0 - x, b, a), abs=1e-12)
 
 
+def test_reg_inc_beta_stays_a_probability_at_tiny_shapes():
+    # the continued fraction's ~1e-13 error once left [0, 1] at shapes far
+    # below 1: -2.84e-14 at the first point (40-digit mpmath: 1.72e-17),
+    # -4.0e-14 at the second and 1.0000000000000284 at the third
+    for x, a, b in ((0.6779342495476912, 5.471633208587429e-98, 9.435370576907926e-115),
+                    (0.9076814439518514, 5.6933509378976545e-12, 1.1070881236317391e-240),
+                    (0.4585755130643756, 1.584321587190113e-193, 2.6103835475489975e-82)):
+        value = reg_inc_beta(x, a, b)
+        assert 0.0 <= value <= 1.0
+        assert value == pytest.approx(scipy_betainc(a, b, x), abs=1e-13)
+    # log-uniform shapes from 1e-300 to 1e300
+    rng = np.random.default_rng(31)
+    for x, la, lb in rng.uniform((0, -300, -300), (1, 300, 300), (1000, 3)).tolist():
+        try:
+            value = reg_inc_beta(x, 10.0 ** la, 10.0 ** lb)
+        except ConvergenceError:
+            continue
+        assert 0.0 <= value <= 1.0, (x, la, lb)
+
+
 def test_reg_inc_beta_against_scipy():
     rng = np.random.default_rng(15)
     for _ in range(150):

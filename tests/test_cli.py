@@ -298,18 +298,20 @@ def test_every_writer_matches_its_oracle_at_small_chunks(monkeypatch, tmp_path,
 
 
 def test_small_writers_match_their_oracles(capsysbinary):
-    # a 75-row sweep whose tv_linear is NaN at m <= 3, and a one-row markov
-    # CSV whose tv_exact is empty (n = 30 is past the enumeration guard)
+    # a 75-row sweep whose tv_linear is NaN at m <= 3, and one-row markov
+    # CSVs at and past the exact column's state of MAX_EXACT_STATE = 2^20
+    # floats: 2^(10 + 9 + 1) has a tv_exact, 2^21 an empty one
     assert run(["sweep", "--m-list", "1,2,3"]) == 0
     rows = sweep([1, 2, 3], np.logspace(-6, np.log10(0.5), 25))
     assert any(math.isnan(r.tv_linear) for r in rows)
     assert capsysbinary.readouterr().out == sweep_csv(rows).encode()
-    assert run(["markov", "--k", "1", "--kappa", "0.05", "--m", "2", "-n", "30",
-                "--samples", "200", "--seed", "5"]) == 0
-    result = run_markov_experiment(MarkovExperiment(k=1, kappa=0.05, m=2, n=30,
-                                                    samples=200, seed=5))
-    assert result.tv_exact is None
-    assert capsysbinary.readouterr().out == markov_csv([result]).encode()
+    for m in (9, 10):
+        assert run(["markov", "--k", "10", "--kappa", "0.05", "--m", str(m), "-n", "30",
+                    "--samples", "200", "--seed", "5"]) == 0
+        result = run_markov_experiment(MarkovExperiment(k=10, kappa=0.05, m=m, n=30,
+                                                        samples=200, seed=5))
+        assert (result.tv_exact is None) == (m == 10)
+        assert capsysbinary.readouterr().out == markov_csv([result]).encode()
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -599,6 +601,36 @@ def test_generate_memory_is_independent_of_n(tmp_path, kind):
         assert (tmp_path / "bits").stat().st_size == 8 + -(-n // 8)
         peaks.append(int(done.stderr.split("peak_kb")[-1]) / 1024)
     assert peaks[1] - peaks[0] < 20, peaks  # MiB
+
+
+def _peak_mib(*argv) -> float:
+    """The peak resident set, in MiB, of ``debias`` run with ``argv`` in a
+    bounded child, which must exit 0."""
+    done = run_python("-c", _PEAK_CHILD, *argv)
+    assert done.returncode == 0, done.stderr
+    return int(done.stderr.split("peak_kb")[-1]) / 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_normalized_dist_memory_is_independent_of_n(tmp_path):
+    # the forward pass builds a drifting source's pair masses 1,024 pairs at
+    # a time, so 10^5 input bits peak as 10^3 do
+    flags = ["dist", "--source", "drifting", "--p0", "0.55", "--beta", "0.05", "--delta",
+             "0.01", "--trajectory", "adversarial", "--m", "8", "-o", str(tmp_path / "d.csv")]
+    small, large = (_peak_mib(*flags, "-n", str(n)) for n in (1000, 100000))
+    assert abs(large - small) < 5, (small, large)
+    assert len((tmp_path / "d.csv").read_text().splitlines()) == 256
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_markov_memory_is_independent_of_m(tmp_path):
+    # the empirical distance counts the kept codes, with no 2^m-entry table:
+    # 2^24 entries took about 140 MiB more than 2^18.  Both m are past the
+    # exact column's state limit, so neither runs its forward pass
+    peaks = [_peak_mib("markov", "--k", "1", "--kappa", "0.1", "--m", str(m), "-n",
+                       str(2 * m + 2), "--samples", "10", "-o", str(tmp_path / "m.csv"))
+             for m in (18, 24)]
+    assert abs(peaks[1] - peaks[0]) < 3, peaks
 
 
 @pytest.mark.parametrize("flags, body", [

@@ -1,5 +1,6 @@
 import io
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from debias import (BitString, ConstantSource, DegenerateSourceError,
                     random_markov_source, total_variation, uniform_dist,
                     vn_normalize, worst_case_product_dist)
 from debias.cli import run
+from debias.exactdist import _exact_excess
 from child import run_python
 from string_oracles import csv_reader_table, csv_writer_table, pn_prob, rn_prob
 
@@ -207,24 +209,64 @@ def test_normalized_dist_guards():
     degenerate = PairwiseSource([{"00": 0.5, "01": 0.0, "10": 0.0, "11": 0.5}])
     with pytest.raises(DegenerateSourceError):
         normalized_dist(degenerate, 2, 1)
-    # the forward pass's state of 2^(k + m + 1) entries is guarded at 2^26
-    with pytest.raises(ValidationError, match=r"k \+ m \+ 1 <= 26"):
-        normalized_dist(random_markov_source(13, 0.1, 0.5, 1), 26, 13)
+    # every pair is 01, so no output is left at m = 1 bit after the second
+    # pair: the pass stops there, not 2^17 pairs later
+    always = PairwiseSource([{"00": 0.0, "01": 1.0, "10": 0.0, "11": 0.0}])
+    t0 = time.perf_counter()
+    with pytest.raises(DegenerateSourceError):
+        normalized_dist(always, 1 << 18, 1)
+    assert time.perf_counter() - t0 < 0.5
+    # the state of 2^(max(k, 2) + m + 1) floats, at and past MAX_EXACT_STATE
+    spec = random_markov_source(10, 0.1, 0.5, 1)
+    assert normalized_dist(spec, 18, 9).length == 9
+    with pytest.raises(ValidationError,
+                       match=r"^state of 2\^21 floats exceeds MAX_EXACT_STATE = 2\^20$"):
+        normalized_dist(spec, 20, 10)
+    # pairs times that state (2^11 floats at least), at and past MAX_EXACT_WORK
+    for m, bits, pairs in ((1, 11, 1 << 17), (8, 11, 1 << 17), (12, 15, 1 << 13)):
+        assert _exact_excess(0, 2 * pairs + 1, m) == ""
+        with pytest.raises(ValidationError, match=rf"^{pairs + 1} pairs of 2\^{bits} floats "
+                                                  r"exceed MAX_EXACT_WORK = 2\^28$"):
+            normalized_dist(ConstantSource(0.5), 2 * pairs + 2, m)
+    assert _exact_excess(16, 2 * 256, 3) == "" != _exact_excess(16, 2 * 257, 3)
 
 
 def test_normalized_dist_guard_comes_before_the_pair_masses():
-    # k = 16 masses for a 26-bit run are about 90 MiB; a refused call
-    # builds none of them
-    spec = random_markov_source(16, 0.1, 0.5, 1)
+    # k = 16 masses take 2 MiB a law, and a 10^12-bit trace 8 TB; a refused
+    # call builds none of them
+    markov = random_markov_source(16, 0.1, 0.5, 1)
+    drift = DriftingSource(DriftParams(0.55, 0.05, 0.01), "adversarial")
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError,
-                           match=r"state of 2\^30 entries exceeds the guard k \+ m \+ 1 <= 26"):
-            normalized_dist(spec, 26, 13)
+                           match=r"^state of 2\^30 floats exceeds MAX_EXACT_STATE = 2\^20$"):
+            normalized_dist(markov, 26, 13)
+        with pytest.raises(ValidationError, match=r"^257 pairs of 2\^20 floats exceed"):
+            normalized_dist(markov, 514, 3)
+        with pytest.raises(ValidationError, match=r"^500000000000 pairs of 2\^11 floats"):
+            normalized_dist(drift, 10**12, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_drift_bound_is_attained_at_scale():
+    # the paper's claim at n = 10^4 input bits: the adversarial trace's
+    # normalized output is exactly as far from uniform as the binomial bound
+    # at alpha_max, and a sine or a sampled walk trace is no farther
+    from debias import alpha_max, sample, tv_bound_exact
+    params = DriftParams(0.55, 0.05, 0.01)
+    n = 10**4
+    walk = sample(DriftingSource(params, "walk"), n, 3)[1]
+    specs = [DriftingSource(params, "adversarial"), DriftingSource(params, "sine", period=40),
+             DriftingSource(params, "fixed", trace=walk)]
+    for m in (2, 8, 12):
+        bound = tv_bound_exact(m, alpha_max(0.55, 0.05, 0.01))
+        adv, sine, fixed = (total_variation(normalized_dist(s, n, m), uniform_dist(m))
+                            for s in specs)
+        assert abs(adv - bound) <= 1e-12, m
+        assert sine <= bound and fixed <= bound, m
 
 
 def test_total_variation_examples():

@@ -11,8 +11,15 @@ from debias import (DistributionTable, MarkovExperiment, MarkovSource, Validatio
                     run_markov_experiment, total_variation, uniform_dist,
                     write_markov_csv)
 from debias.bits import format_bits
-from debias.markov import MarkovResult, _output_counts
+from debias.exactdist import _exact_excess
+from debias.markov import MarkovResult, _kept_codes
 from string_oracles import markov_csv
+
+
+def _output_counts(source, n, m, trials, seed):
+    """Count of each m-bit output over the runs that give exactly m bits:
+    the dense table of the sampler's kept codes."""
+    return np.bincount(_kept_codes(source, n, m, trials, seed), minlength=1 << m)
 
 
 def matrix_trials(source, n, trials, seed):
@@ -147,7 +154,9 @@ def test_one_pass_matches_matrix_oracle(k, m):
             assert math.isnan(res.tv_empirical)
             continue
         assert np.array_equal(counts / count, want.probs)
-        assert res.tv_empirical == total_variation(want, uniform_dist(m))
+        # summed over the codes seen, not over all 2^m cells as the oracle
+        assert res.tv_empirical == pytest.approx(total_variation(want, uniform_dist(m)),
+                                                 rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [60, 61])
@@ -185,7 +194,9 @@ def test_memory_is_independent_of_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.tv_exact is None and res.accepted > 0
+    # the exact column's forward pass, 2000 pairs past the old n <= 26
+    # limit, streams its pair masses and adds about 0.1 MiB
+    assert res.tv_exact is not None and res.accepted > 0
     assert peak < 1 << 20
 
 
@@ -215,17 +226,25 @@ def test_empirical_converges_to_exact():
 
 
 def test_exact_skipped_beyond_guard():
+    # n = 30, past the old n <= 26 limit, now has its exact column
     exp = MarkovExperiment(k=1, kappa=0.02, m=2, n=30, samples=2000, seed=2)
     res = run_markov_experiment(exp)
-    assert res.tv_exact is None
+    exact = normalized_dist(random_markov_source(1, 0.02, 0.5, 2), 30, 2)
+    assert res.tv_exact == total_variation(exact, uniform_dist(2))
     assert not math.isnan(res.tv_empirical)
-    # within n <= 26 but beyond the state guard k + m + 1 <= 26
+    # far past the state of MAX_EXACT_STATE = 2^20 floats
     exp = MarkovExperiment(k=13, kappa=0.02, m=13, n=26, samples=200, seed=2)
     assert run_markov_experiment(exp).tv_exact is None
-    # within both guards, at and past the budget of 2^20 floats per array
+    # at and past that state: 2^(10 + 9 + 1) floats, then 2^21
     at = MarkovExperiment(k=10, kappa=0.02, m=9, n=26, samples=200, seed=2)
     assert run_markov_experiment(at).tv_exact is not None
     assert run_markov_experiment(dataclasses.replace(at, m=10)).tv_exact is None
+    # at and past MAX_EXACT_WORK = 2^28: 256 pairs of 2^20 floats, then 257.
+    # A pass at the limit takes seconds, so the edge itself is read from
+    # the predicate that the explorer asks
+    assert _exact_excess(3, 512, 16) == ""
+    past = MarkovExperiment(k=3, kappa=0.02, m=16, n=514, samples=200, seed=2)
+    assert run_markov_experiment(past).tv_exact is None
 
 
 def test_markov_csv():
